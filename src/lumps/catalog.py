@@ -34,16 +34,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .hirota import BNEW, PRESETS, STANDARD, BilinearForm
-from .polyring import Basis, ExactPoly, QQi, poly_xy, poly_zz, r_squared
-
-#: Dx^4 - 3 Dx^2 - 3 Dy^2: the form the printed degree-6 family satisfies.
-YANG_ELLIPTIC = BilinearForm(
-    "yang-elliptic",
-    tuple((QQi.of(Fraction(w)), a, b)
-          for w, a, b in ((1, 4, 0), (-3, 2, 0), (-3, 0, 2))))
-
-PRESETS.setdefault("yang-elliptic", YANG_ELLIPTIC)
+from .hirota import BNEW, PRESETS, STANDARD, YANG_ELLIPTIC, BilinearForm
+from .polyring import Basis, ExactPoly, poly_xy, poly_zz, r_squared
 
 ParamMonomial = Tuple[Tuple[str, int], ...]
 

@@ -26,6 +26,7 @@ gamma values at n = 15, all of which are pinned in the test-suite.
 from __future__ import annotations
 
 import csv
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -258,8 +259,11 @@ def gamma_table(n: int) -> Dict[int, Fraction]:
 
 
 def is_triangular(n: int) -> bool:
-    k = int(((8 * n + 1) ** 0.5 - 1) / 2)
-    return any(kk * (kk + 1) == 2 * n for kk in (k - 1, k, k + 1))
+    """True when n = k(k+1)/2 for an integer k >= 0; exact at any size."""
+    if n < 0:
+        return False
+    k = (math.isqrt(8 * n + 1) - 1) // 2
+    return k * (k + 1) == 2 * n
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import asdict, dataclass, is_dataclass
@@ -65,7 +66,7 @@ class RunReport:
 
     def emit(self, stream=None) -> None:
         stream = stream if stream is not None else sys.stdout
-        json.dump(jsonable(asdict(self)), stream, indent=1)
+        json.dump(jsonable(asdict(self)), stream, indent=1, allow_nan=False)
         stream.write("\n")
 
 
@@ -122,7 +123,7 @@ def _load_record(spec: str):
 
 
 def cmd_verify(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     rec = _load_record(args.tau)
     form = _resolve_form(args.form, args.custom_form)
     bindings = _parse_params(args.param)
@@ -141,7 +142,7 @@ def cmd_verify(args) -> int:
             "residual_terms": result.residual_terms(10),
             "notes": rec.notes,
         },
-        timing_seconds=time.time() - t0,
+        timing_seconds=time.perf_counter() - t0,
         exact=True,
     )
     report.emit()
@@ -149,7 +150,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_scan_jn(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     routes = tuple(r.strip() for r in args.routes.split(",") if r.strip())
     try:
         rows = classify.scan(args.max_n, routes, jobs=args.jobs,
@@ -175,7 +176,7 @@ def cmd_scan_jn(args) -> int:
             "zero_set_is_triangular": law_holds,
             "errors": errors,
         },
-        timing_seconds=time.time() - t0,
+        timing_seconds=time.perf_counter() - t0,
         exact=True,
     )
     report.emit()
@@ -183,7 +184,9 @@ def cmd_scan_jn(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
+    if args.n < 1:
+        raise UsageError(f"--n must be >= 1, got {args.n}")
     cert = classify.uniqueness_certificate(args.n)
     report = RunReport(
         command="certify",
@@ -195,7 +198,7 @@ def cmd_certify(args) -> int:
             "all_nonzero": cert.all_nonzero,
             "unique_even": cert.unique_even,
         },
-        timing_seconds=time.time() - t0,
+        timing_seconds=time.perf_counter() - t0,
         exact=True,
     )
     report.emit()
@@ -203,7 +206,7 @@ def cmd_certify(args) -> int:
 
 
 def cmd_cm_check(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     rec_id = args.tau
     if not rec_id.endswith("-bnew"):
         rec_id = rec_id + "-bnew"
@@ -233,7 +236,7 @@ def cmd_cm_check(args) -> int:
         command="cm-check",
         inputs={"tau": rec_id, "y": [str(y) for y in ys], "tol": args.tol},
         results={"rows": rows, "within_tolerance": ok},
-        timing_seconds=time.time() - t0,
+        timing_seconds=time.perf_counter() - t0,
         exact=False,
     )
     report.emit()
@@ -241,7 +244,7 @@ def cmd_cm_check(args) -> int:
 
 
 def cmd_lax_table(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     comparison = lax.compare_phase_tables()
     mismatches = tuple((c["point"], c["j"]) for c in comparison if not c["match"])
     as_documented = mismatches == lax.PRINT_ERRATA
@@ -256,7 +259,7 @@ def cmd_lax_table(args) -> int:
             "documented_errata": [list(m) for m in lax.PRINT_ERRATA],
             "mismatches_are_documented_errata": as_documented,
         },
-        timing_seconds=time.time() - t0,
+        timing_seconds=time.perf_counter() - t0,
         exact=True,
     )
     report.emit()
@@ -264,10 +267,12 @@ def cmd_lax_table(args) -> int:
 
 
 def cmd_lax_probe(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     if args.point not in lax.DISTINGUISHED:
         raise UsageError(
             f"unknown point {args.point!r}; choose from {sorted(lax.DISTINGUISHED)}")
+    if not math.isfinite(args.x):
+        raise UsageError(f"--x must be finite, got {args.x}")
     probe = lax.removable_probe(args.point, args.x)
     cauchy = all(b < a for a, b in zip(probe["phi12_gaps"], probe["phi12_gaps"][1:]))
     cauchy = cauchy and all(
@@ -276,7 +281,7 @@ def cmd_lax_probe(args) -> int:
         command="lax-probe",
         inputs={"point": args.point, "x": args.x},
         results={**probe, "cauchy_decreasing": cauchy},
-        timing_seconds=time.time() - t0,
+        timing_seconds=time.perf_counter() - t0,
         exact=False,
     )
     report.emit()
@@ -284,7 +289,7 @@ def cmd_lax_probe(args) -> int:
 
 
 def cmd_energy(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     rec = _load_record(args.tau)
     try:
         value = cat.energy(rec, half_width=args.half_width, step=args.step)
@@ -302,7 +307,7 @@ def cmd_energy(args) -> int:
         inputs={"tau": args.tau, "half_width": args.half_width,
                 "step": args.step, "ratio_to": args.ratio_to},
         results=results,
-        timing_seconds=time.time() - t0,
+        timing_seconds=time.perf_counter() - t0,
         exact=False,
     )
     report.emit()
@@ -310,7 +315,7 @@ def cmd_energy(args) -> int:
 
 
 def cmd_degree(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     m = classify.solve_degree(args.k)
     balance = classify.hierarchy_degree(2 * args.k, m)
     report = RunReport(
@@ -324,7 +329,7 @@ def cmd_degree(args) -> int:
             "balanced": balance.balanced,
             "tau_degree": args.k * (args.k + 1),
         },
-        timing_seconds=time.time() - t0,
+        timing_seconds=time.perf_counter() - t0,
         exact=True,
     )
     report.emit()

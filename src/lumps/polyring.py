@@ -22,6 +22,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, Union
 
 Rat = Union[int, Fraction]
@@ -260,16 +261,16 @@ class ExactPoly:
 
     def __mul__(self, other: "ExactPoly") -> "ExactPoly":
         self._require_same_basis(other, "multiply")
-        out: dict = {}
-        for (i1, j1), c1 in self._terms.items():
-            for (i2, j2), c2 in other._terms.items():
+        den_a, a = _scaled(self._terms.values())
+        den_b, b = _scaled(other._terms.values())
+        re: dict = {}
+        im: dict = {}
+        for (i1, j1), (r1, m1) in zip(self._terms, a):
+            for (i2, j2), (r2, m2) in zip(other._terms, b):
                 key = (i1 + i2, j1 + j2)
-                s = out.get(key, ZERO) + c1 * c2
-                if s.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-        return ExactPoly(out, self.basis)
+                re[key] = re.get(key, 0) + r1 * r2 - m1 * m2
+                im[key] = im.get(key, 0) + r1 * m2 + m1 * r2
+        return _from_scaled(re, im, den_a * den_b, self.basis)
 
     def scale(self, c: "QQi | Rat") -> "ExactPoly":
         q = QQi.of(c)
@@ -461,6 +462,27 @@ class ExactPoly:
     @staticmethod
     def loads(text: str) -> "ExactPoly":
         return ExactPoly.from_json_dict(json.loads(text))
+
+
+def _scaled(coeffs) -> tuple:
+    """(den, [(re, im), ...]): each QQi of coeffs as the Gaussian integer
+    re + im*i over one common denominator den > 0."""
+    coeffs = list(coeffs)
+    den = 1
+    for c in coeffs:
+        den = lcm(den, c.re.denominator, c.im.denominator)
+    return den, [(c.re.numerator * (den // c.re.denominator),
+                  c.im.numerator * (den // c.im.denominator)) for c in coeffs]
+
+
+def _from_scaled(re: dict, im: dict, den: int, basis: Basis) -> ExactPoly:
+    """The polynomial with coefficients (re[k] + im[k]*i) / den; zeros dropped."""
+    out = {}
+    for key, r in re.items():
+        m = im[key]
+        if r or m:
+            out[key] = QQi(Fraction(r, den), Fraction(m, den))
+    return ExactPoly(out, basis)
 
 
 def _int_pow(base: QQi, n: int) -> QQi:

@@ -29,6 +29,24 @@ def exact_polys(draw, basis=Basis.XY, max_degree=4, max_terms=5,
     return ExactPoly(terms, basis)
 
 
+# Gaussian rationals far beyond one machine word, for the exact kernels
+wide_rationals = st.builds(Fraction, st.integers(-10**40, 10**40),
+                           st.integers(1, 10**30))
+
+
+@st.composite
+def wide_polys(draw, basis=Basis.XY, max_degree=4, max_terms=4):
+    """Nonzero polynomials whose first term has a nonzero imaginary part."""
+    n_terms = draw(st.integers(1, max_terms))
+    terms = {}
+    for n in range(n_terms):
+        i = draw(st.integers(0, max_degree))
+        j = draw(st.integers(0, max_degree - i))
+        im = wide_rationals.filter(bool) if n == 0 else wide_rationals
+        terms.setdefault((i, j), QQi(draw(wide_rationals), draw(im)))
+    return ExactPoly(terms, basis)
+
+
 def random_poly(rng: random.Random, basis=Basis.XY, max_degree=5,
                 max_terms=6, real_only=True) -> ExactPoly:
     terms = {}

@@ -3,7 +3,11 @@
 The Hirota oracle uses the shift-variable definition: expand
 f(x+h1, y+h2) * g(x-h1, y-h2) as a polynomial in four variables and read
 off the (h1^a h2^b) coefficient times a! b!.  It never touches the
-library's Leibniz-sum implementation.
+library's term-pair closed form, its axis coefficients or its
+integer-scaled coefficient path.
+
+The product oracle multiplies two polynomials term by term on a plain dict
+of QQi coefficients, with no common-denominator scaling.
 """
 
 from fractions import Fraction
@@ -47,3 +51,14 @@ def hirota_oracle(a: int, b: int, f: ExactPoly, g: ExactPoly) -> ExactPoly:
             terms[(ix, iy)] = terms.get((ix, iy), QQi()) + c
     scale = Fraction(factorial(a) * factorial(b))
     return ExactPoly({k: v * scale for k, v in terms.items()}, f.basis)
+
+
+def product_oracle(f: ExactPoly, g: ExactPoly) -> ExactPoly:
+    """f * g by the schoolbook sum over term pairs, in QQi arithmetic."""
+    assert f.basis is g.basis
+    out = {}
+    for (i1, j1), c1 in f.terms.items():
+        for (i2, j2), c2 in g.terms.items():
+            key = (i1 + i2, j1 + j2)
+            out[key] = out.get(key, QQi()) + c1 * c2
+    return ExactPoly(out, f.basis)

@@ -122,6 +122,21 @@ class TestJRoute:
         assert zeros == [n for n in range(1, 61) if cl.is_triangular(n)]
 
 
+class TestIsTriangular:
+    def test_small(self):
+        assert [n for n in range(0, 29) if cl.is_triangular(n)] == \
+            [0, 1, 3, 6, 10, 15, 21, 28]
+        assert not cl.is_triangular(-1)
+
+    @pytest.mark.parametrize("k", [10**30, 10**200])
+    def test_huge(self, k):
+        # beyond float precision (10**30) and float range (10**200)
+        t = k * (k + 1) // 2
+        assert cl.is_triangular(t)
+        assert not cl.is_triangular(t - 1)
+        assert not cl.is_triangular(t + 1)
+
+
 class TestSigmaRoute:
     def test_sigma1_closed_form(self):
         for n in range(2, 51):

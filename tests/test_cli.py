@@ -1,7 +1,11 @@
 import csv
+import io
 import json
+import time
 
-from lumps.cli import main
+import pytest
+
+from lumps.cli import RunReport, main
 from lumps.polyring import poly_xy
 
 
@@ -106,6 +110,14 @@ class TestCertify:
         assert gammas["7"] == "-5460/17"
         assert report["results"]["all_nonzero"] is True
 
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_n_below_one_is_usage_error(self, capsys, n):
+        code, report, err = run(capsys, "certify", "--n", n)
+        assert code == 2
+        assert report is None
+        assert "--n must be >= 1" in err
+        assert "Traceback" not in err
+
     def test_n1_vacuous(self, capsys):
         code, report, _ = run(capsys, "certify", "--n", "1")
         assert code == 0
@@ -145,6 +157,14 @@ class TestLax:
         assert code == 0
         assert report["results"]["cauchy_decreasing"] is True
 
+    @pytest.mark.parametrize("x", ["nan", "inf", "-inf"])
+    def test_probe_nonfinite_x_is_usage_error(self, capsys, x):
+        code, report, err = run(capsys, "lax-probe", "--point", "k1+",
+                                f"--x={x}")
+        assert code == 2
+        assert report is None
+        assert "--x must be finite" in err
+
     def test_probe_bad_point(self, capsys):
         code, _, err = run(capsys, "lax-probe", "--point", "k9+")
         assert code == 2
@@ -174,3 +194,19 @@ class TestEnergyAndDegree:
         _, report, _ = run(capsys, "certify", "--n", "6")
         for v in report["results"]["gammas"].values():
             assert isinstance(v, str)
+
+
+class TestReport:
+    def test_emit_refuses_nonfinite(self):
+        report = RunReport("energy", {}, {"H": float("nan")}, 0.0, False)
+        with pytest.raises(ValueError):
+            report.emit(io.StringIO())
+
+    def test_timing_is_monotonic_clock(self, capsys, monkeypatch):
+        def wall_clock():
+            raise AssertionError("timing must not read the wall clock")
+
+        monkeypatch.setattr(time, "time", wall_clock)
+        code, report, _ = run(capsys, "degree", "--k", "2")
+        assert code == 0
+        assert report["timing_seconds"] >= 0

@@ -1,11 +1,17 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from conftest import exact_polys, random_poly
+import lumps
+from conftest import exact_polys, random_poly, wide_polys, wide_rationals
 from lumps.hirota import (
-    BNEW, EVEN_SECTION, STANDARD, YANG, BilinearForm, custom_form,
+    BNEW, EVEN_SECTION, STANDARD, YANG, YANG_ELLIPTIC, BilinearForm, custom_form,
     hirota_axis_coeff, hirota_d, hirota_dx4_zz_coeff, hirota_monomial_zz,
     preset)
 from lumps.polyring import Basis, BasisMismatchError, ExactPoly, QQi, \
@@ -63,6 +69,47 @@ class TestOracleAgreement:
            exact_polys(max_degree=3, max_terms=3))
     def test_oracle_d22(self, f, g):
         assert hirota_d(2, 2, f, g) == hirota_oracle(2, 2, f, g)
+
+
+class TestKernelAgainstOracle:
+    """The term-pair kernel on inputs the random oracle runs above avoid:
+    wide Gaussian coefficients, odd orders, f != g and complex weights."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(wide_polys(max_degree=3, max_terms=3),
+           wide_polys(max_degree=3, max_terms=3),
+           st.integers(0, 4), st.integers(0, 4),
+           st.sampled_from(list(Basis)))
+    def test_distinct_pair(self, f, g, a, b, basis):
+        assume(f != g)
+        f, g = ExactPoly(f.terms, basis), ExactPoly(g.terms, basis)
+        assert hirota_d(a, b, f, g) == hirota_oracle(a, b, f, g)
+
+    @settings(max_examples=40, deadline=None)
+    @given(wide_polys(max_degree=4, max_terms=3),
+           wide_polys(max_degree=4, max_terms=3),
+           st.sampled_from([(1, 0), (0, 1), (3, 0), (0, 3), (5, 0), (0, 5)]))
+    def test_odd_single_orders(self, f, g, order):
+        a, b = order
+        assert hirota_d(a, b, f, g) == hirota_oracle(a, b, f, g)
+        assert hirota_d(a, b, f, f).is_zero()
+
+    @settings(max_examples=30, deadline=None)
+    @given(wide_polys(max_degree=4, max_terms=4),
+           st.lists(st.tuples(wide_rationals, wide_rationals.filter(bool)),
+                    min_size=4, max_size=4),
+           st.sampled_from(list(Basis)))
+    def test_custom_form_complex_weights(self, tau, weights, basis):
+        tau = ExactPoly(tau.terms, basis)
+        orders = ((4, 0), (1, 1), (0, 2), (3, 1))
+        form = BilinearForm(
+            "complex", tuple((QQi(re, im), a, b)
+                             for (re, im), (a, b) in zip(weights, orders)),
+            basis)
+        expected = ExactPoly.zero(basis)
+        for (re, im), (a, b) in zip(weights, orders):
+            expected = expected + hirota_oracle(a, b, tau, tau).scale(QQi(re, im))
+        assert form.residual(tau) == expected
 
 
 class TestProperties:
@@ -170,8 +217,23 @@ class TestBilinearForm:
         assert preset("even-section") is EVEN_SECTION
         assert preset("yang") is YANG
         assert preset("bnew") is BNEW
+        assert preset("yang-elliptic") is YANG_ELLIPTIC
         with pytest.raises(KeyError):
             preset("nope")
+
+    def test_yang_elliptic_without_catalog(self):
+        # the preset must not depend on which lumps module was imported first
+        code = ("import sys; from lumps import hirota; "
+                "print(hirota.preset('yang-elliptic').name, "
+                "'lumps.catalog' in sys.modules)")
+        src = str(Path(lumps.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["yang-elliptic", "False"]
 
     def test_even_section_is_negated_standard(self, rng):
         for _ in range(5):

@@ -3,11 +3,13 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import exact_polys, gaussian_rationals, random_poly
+from conftest import exact_polys, gaussian_rationals, random_poly, wide_polys
 from lumps.polyring import (
     Basis, BasisMismatchError, ExactDivisionError, ExactPoly, QQi,
     poly_xy, poly_zz, r_squared, x_plus_iy_power)
+from oracles import product_oracle
 
 
 class TestQQi:
@@ -80,6 +82,14 @@ class TestArithmetic:
         assert f * (g + h) == f * g + f * h
         assert (f * g) * h == f * (g * h)
         assert f * g == g * f
+
+    @settings(max_examples=60)
+    @given(wide_polys(), wide_polys(), st.sampled_from(list(Basis)))
+    def test_mul_matches_product_oracle(self, f, g, basis):
+        # Gaussian coefficients with large, unrelated denominators
+        f, g = ExactPoly(f.terms, basis), ExactPoly(g.terms, basis)
+        assert f * g == product_oracle(f, g)
+        assert f * f == product_oracle(f, f)
 
 
 class TestDiff:
