@@ -26,9 +26,9 @@ def main() -> int:
     ok = True
     print(f"quadrature window [-R,R]^2, R = {args.half_width}, h = {args.step}")
     for rid, k in RECORDS:
-        t0 = time.time()
+        t0 = time.perf_counter()
         H = cat.energy(C[rid], half_width=args.half_width, step=args.step)
-        dt = time.time() - t0
+        dt = time.perf_counter() - t0
         if base is None:
             base = H
         ratio = H / base
@@ -36,7 +36,7 @@ def main() -> int:
         dev = abs(ratio - target) / target
         ok = ok and dev <= 0.05
         print(f"{rid:24s} H = {H:12.6f}  H/H0 = {ratio:8.4f}  "
-              f"k(k+1)/2 = {target:4.1f}  rel.dev = {dev:.3%}  ({dt:.0f}s)")
+              f"k(k+1)/2 = {target:4.1f}  rel.dev = {dev:.3%}  ({dt:.2f}s)")
     print(f"\nall ratios within 5% of k(k+1)/2: {ok}")
     return 0 if ok else 1
 

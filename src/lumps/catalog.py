@@ -178,7 +178,31 @@ def energy(rec: TauRecord, half_width: float = 200.0, step: float = 0.05
 
     Midpoint rule on [-R, R]^2; the record's polynomial must be even in x
     and in y, which folds the grid onto one quadrant.
+
+    Evenness also fixes the parity of each derivative: tau and tau_xx are
+    even, tau_x and tau_xxx are x times an even polynomial, tau_y is y
+    times one and tau_xy is xy times one.  Each derivative is divided by
+    that monomial and stored as a float table in X = x^2, Y = y^2; a grid
+    row is then (Y powers) @ table @ (X powers), two small matrix products.
+    The integrand is summed in ratio form: with a = tau_x/tau,
+    b = tau_xx/tau and q = (3/2) qh, q_x = (3/2) qh_x, dx^{-1} dy q = (3/2) vh,
+
+        qh = b - a^2,  qh_x = tau_xxx/tau - 3ab + 2a^3,
+        vh = (tau_xy - a tau_y)/tau,
+
+    the integrand is 3.375 qh_x^2 + qh^2 (13.5 qh - 3.375) - 2.25 vh^2.
+
+    Raises ValueError for a window with no grid cell or a record outside
+    the (3/2) normalization or not even, and ArithmeticError when the sum
+    is not finite (tau vanishes, or overflows, at a grid node).
     """
+    for name, value in (("half_width", half_width), ("step", step)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and > 0, got {value}")
+    cells = half_width / step
+    if not (math.isfinite(cells) and round(cells) >= 1):
+        raise ValueError(
+            f"half_width/step = {cells} leaves no grid cell in [0, R]")
     if rec.scale_c != Fraction(3, 2):
         raise ValueError(
             f"energy expects the (3/2) dxx log tau normalization; record "
@@ -188,45 +212,47 @@ def energy(rec: TauRecord, half_width: float = 200.0, step: float = 0.05
         raise ValueError("energy quadrature assumes tau even in x and y")
 
     tau_x = tau.diff(0, 1)
-    tau_y = tau.diff(1, 1)
-    tau_xx = tau.diff(0, 2)
-    tau_xy = tau_x.diff(1, 1)
-    tau_xxx = tau.diff(0, 3)
-    arrays = [_CoeffGrid(p) for p in
-              (tau, tau_x, tau_y, tau_xx, tau_xy, tau_xxx)]
+    # (derivative, x-parity, y-parity), in the row order unpacked below
+    parts = ((tau, 0, 0), (tau_x, 1, 0), (tau.diff(0, 2), 0, 0),
+             (tau.diff(0, 3), 1, 0), (tau.diff(1, 1), 0, 1),
+             (tau_x.diff(1, 1), 1, 1))
+    nx = tau.degree_in(0) // 2 + 1
+    ny = tau.degree_in(1) // 2 + 1
+    table = np.zeros((ny, len(parts), nx))
+    for k, (p, px, py) in enumerate(parts):
+        for (i, j), c in p.terms.items():
+            table[(j - py) // 2, k, (i - px) // 2] = float(c.re)
+    table = table.reshape(ny, -1)
 
-    m = int(round(half_width / step))
+    m = int(round(cells))
     xs = (np.arange(m) + 0.5) * step
+    xpow = np.vander(xs * xs, nx, increasing=True).T     # (nx, m)
+    ypows = np.vander(xs * xs, ny, increasing=True)      # row k: Y_k powers
     total = 0.0
     # stripe across y to bound memory; each row is a full x vector
-    for yk in range(m):
-        y = (yk + 0.5) * step
-        t, tx, ty, txx, txy, txxx = (g.eval_row(xs, y) for g in arrays)
-        q = 1.5 * (t * txx - tx * tx) / (t * t)
-        qx = 1.5 * (t * t * txxx - 3 * t * tx * txx + 2 * tx**3) / (t**3)
-        v = 1.5 * (t * txy - tx * ty) / (t * t)
-        integrand = 1.5 * qx * qx + 4 * q**3 - 1.5 * q * q - v * v
-        total += float(np.sum(integrand))
-    return 4.0 * total * step * step
-
-
-class _CoeffGrid:
-    """Float coefficient table of an exact polynomial, evaluated row-wise."""
-
-    def __init__(self, p: ExactPoly):
-        dx = p.degree_in(0)
-        dy = p.degree_in(1)
-        self.c = np.zeros((dy + 1, dx + 1))
-        for (i, j), q in p.terms.items():
-            self.c[j, i] = float(q.re)
-
-    def eval_row(self, xs: np.ndarray, y: float) -> np.ndarray:
-        ypow = y ** np.arange(self.c.shape[0])
-        cx = ypow @ self.c           # collapse y: coefficients in x
-        out = np.full_like(xs, cx[-1])
-        for k in range(len(cx) - 2, -1, -1):
-            out = out * xs + cx[k]
-        return out
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for y, ypow in zip(xs, ypows):
+            t, tx, txx, txxx, ty, txy = (ypow @ table).reshape(-1, nx) @ xpow
+            inv = 1.0 / t
+            a = tx * inv
+            a *= xs
+            b = txx * inv
+            a2 = a * a
+            qh = b - a2
+            qhx = txxx * inv
+            qhx *= xs
+            qhx -= a * (3.0 * b - 2.0 * a2)
+            vh_y = txy * xs              # vh / y: the y factors join below
+            vh_y -= a * ty
+            vh_y *= inv
+            total += (3.375 * (qhx @ qhx) + (qh * qh) @ (13.5 * qh - 3.375)
+                      - 2.25 * y * y * (vh_y @ vh_y))
+    total = 4.0 * float(total) * step * step
+    if not math.isfinite(total):
+        raise ArithmeticError(
+            f"energy sum of {rec.id!r} is not finite: tau vanishes (or "
+            f"overflows) on the quadrature grid")
+    return total
 
 
 def _eval_array(p: ExactPoly, xs, ys):

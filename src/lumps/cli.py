@@ -214,7 +214,11 @@ def cmd_cm_check(args) -> int:
         rec = cat.get_record(rec_id)
     except KeyError as exc:
         raise UsageError(str(exc)) from None
-    ys = [Fraction(v.strip()) for v in args.y.split(",") if v.strip()]
+    try:
+        ys = [Fraction(v.strip()) for v in args.y.split(",") if v.strip()]
+    except (ValueError, ZeroDivisionError):
+        raise UsageError(
+            f"--y expects a comma list of rationals, got {args.y!r}") from None
     rows = []
     ok = True
     for y in ys:
@@ -273,6 +277,12 @@ def cmd_lax_probe(args) -> int:
             f"unknown point {args.point!r}; choose from {sorted(lax.DISTINGUISHED)}")
     if not math.isfinite(args.x):
         raise UsageError(f"--x must be finite, got {args.x}")
+    log_bound = lax.probe_log_bound(args.point, args.x)
+    if log_bound >= math.log(sys.float_info.max):
+        raise UsageError(
+            f"--x {args.x} overflows the probe at {args.point}: its terms "
+            f"reach e^{log_bound:.6g}, past the float maximum "
+            f"e^{math.log(sys.float_info.max):.6g}")
     probe = lax.removable_probe(args.point, args.x)
     cauchy = all(b < a for a, b in zip(probe["phi12_gaps"], probe["phi12_gaps"][1:]))
     cauchy = cauchy and all(
@@ -291,17 +301,19 @@ def cmd_lax_probe(args) -> int:
 def cmd_energy(args) -> int:
     t0 = time.perf_counter()
     rec = _load_record(args.tau)
+    results = {"id": rec.id, "half_width": args.half_width, "step": args.step}
     try:
-        value = cat.energy(rec, half_width=args.half_width, step=args.step)
-        results = {"id": rec.id, "H": value,
-                   "half_width": args.half_width, "step": args.step}
+        results["H"] = cat.energy(rec, half_width=args.half_width,
+                                  step=args.step)
         if args.ratio_to:
             other = _load_record(args.ratio_to)
             base = cat.energy(other, half_width=args.half_width, step=args.step)
             results["H_reference"] = base
-            results["ratio"] = value / base
+            results["ratio"] = results["H"] / base
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    except ArithmeticError as exc:
+        results["error"] = str(exc)
     report = RunReport(
         command="energy",
         inputs={"tau": args.tau, "half_width": args.half_width,
@@ -311,11 +323,13 @@ def cmd_energy(args) -> int:
         exact=False,
     )
     report.emit()
-    return 0
+    return 1 if "error" in results else 0
 
 
 def cmd_degree(args) -> int:
     t0 = time.perf_counter()
+    if args.k < 0:
+        raise UsageError(f"--k must be >= 0, got {args.k}")
     m = classify.solve_degree(args.k)
     balance = classify.hierarchy_degree(2 * args.k, m)
     report = RunReport(

@@ -226,6 +226,17 @@ def _sinhc_sqrt(zeta: complex) -> complex:
     return cmath.sinh(w) / w
 
 
+def _phi_coefficients(k: complex) -> Tuple[Tuple[complex, ...], ...]:
+    """Coefficients of (e^{-kxi/2} C, x e^{-kxi/2} S, e^{kix}) in Phi_12, Phi_22.
+
+    Shared by phi_entries and probe_log_bound, so the bound follows any
+    change to the closed forms.
+    """
+    f1 = 3 * k * k + 2
+    return ((k * 1j / f1, (3 * k * k + 4) / (2 * f1), -(k * 1j / f1)),
+            ((2 * k * k + 2) / f1, k * 1j / f1, k * k / f1))
+
+
 def phi_entries(k: complex, x: float) -> Tuple[complex, complex]:
     """(Phi_12, Phi_22) of E e^{Mx} E^{-1} via the cosh/sinhc closed forms.
 
@@ -240,23 +251,49 @@ def phi_entries(k: complex, x: float) -> Tuple[complex, complex]:
     entire in zeta, so the only candidate singularities are 3k^2+2 = 0 and
     they are removable (probed numerically by removable_probe).
     """
-    f1 = 3 * k * k + 2
+    (a12, b12, c12), (a22, b22, c22) = _phi_coefficients(k)
     zeta = (x * x / 4.0) * (3 * k * k + 8)
     C = _cosh_sqrt(zeta)
     S = _sinhc_sqrt(zeta)
     half = cmath.exp(-k * x * 1j / 2)
     full = cmath.exp(k * x * 1j)
-    phi12 = (k * 1j / f1) * half * C \
-        + ((3 * k * k + 4) / (2 * f1)) * x * half * S \
-        - (k * 1j / f1) * full
-    phi22 = ((2 * k * k + 2) / f1) * half * C \
-        + (k * 1j / f1) * x * half * S \
-        + (k * k / f1) * full
+    phi12 = a12 * half * C + b12 * x * half * S + c12 * full
+    phi22 = a22 * half * C + b22 * x * half * S + c22 * full
     return phi12, phi22
 
 
+#: radial offsets of removable_probe, k = k* (1 + eps)
+PROBE_EPSILONS = (1e-2, 1e-3, 1e-4)
+
+
+def probe_log_bound(point: str, x: float) -> float:
+    """Natural log of a bound on every factor and entry removable_probe forms.
+
+    At each k = k* (1 + eps), eps in PROBE_EPSILONS, with
+    w = (|x|/2) sqrt(3k^2+8), |C| and |S| of phi_entries are at most
+    cosh(Re w) <= e^{|Re w|}; e^{-kxi/2} and e^{kix} have real exponents
+    x Im(k)/2 and -x Im(k).  Each entry is at most g times the largest of
+    these factors, where g sums the magnitudes of the six coefficients of
+    _phi_coefficients (those of x S times |x|), so every factor, entry and
+    gap between entries stays below e^bound, with
+    bound = max(|Re w| + max(x Im(k)/2, 0), -x Im(k)) + max(log g, 0) + log 2.
+    No x^2 is formed, so any finite x gets a bound (possibly inf), never
+    an OverflowError.
+    """
+    ax = abs(x)
+    bounds = []
+    for eps in PROBE_EPSILONS:
+        k = point_value(point) * (1 + eps)
+        re_w = ax / 2 * abs(cmath.sqrt(3 * k * k + 8).real)
+        exponent = max(re_w + max(x * k.imag / 2, 0.0), -x * k.imag)
+        g = sum(abs(a) + abs(b) * ax + abs(c)
+                for a, b, c in _phi_coefficients(k))
+        bounds.append(exponent + max(math.log(g), 0.0) + math.log(2.0))
+    return max(bounds)
+
+
 def removable_probe(point: str, x: float,
-                    epsilons: Sequence[float] = (1e-2, 1e-3, 1e-4)
+                    epsilons: Sequence[float] = PROBE_EPSILONS
                     ) -> dict:
     """Approach a distinguished point radially; report values and Cauchy gaps.
 

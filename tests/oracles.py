@@ -8,10 +8,17 @@ integer-scaled coefficient path.
 
 The product oracle multiplies two polynomials term by term on a plain dict
 of QQi coefficients, with no common-denominator scaling.
+
+The energy oracle sums the midpoint rule row by row over the whole square
+[-R, R]^2, with the textbook quotient formulas for q, q_x and v on the full
+derivatives of tau.  It uses no parity fold, no even-power table and no
+ratio form, and differentiates with numpy rather than the library.
 """
 
 from fractions import Fraction
 from math import comb, factorial
+
+import numpy as np
 
 from lumps.polyring import ExactPoly, QQi
 
@@ -62,3 +69,35 @@ def product_oracle(f: ExactPoly, g: ExactPoly) -> ExactPoly:
             key = (i1 + i2, j1 + j2)
             out[key] = out.get(key, QQi()) + c1 * c2
     return ExactPoly(out, f.basis)
+
+
+def energy_oracle(tau: ExactPoly, half_width: float, step: float) -> float:
+    """H(q), q = (3/2) dxx log tau, by the midpoint rule on [-R, R]^2.
+
+    Each row evaluates the derivatives of tau on every node and forms
+
+      q   = (3/2) (tau tau_xx - tau_x^2) / tau^2,
+      q_x = (3/2) (tau^2 tau_xxx - 3 tau tau_x tau_xx + 2 tau_x^3) / tau^3,
+      v   = (3/2) (tau tau_xy - tau_x tau_y) / tau^2,
+
+    with integrand (3/2) q_x^2 + 4 q^3 - (3/2) q^2 - v^2.
+    """
+    P = np.polynomial.polynomial
+    c = np.zeros((tau.degree_in(0) + 1, tau.degree_in(1) + 1))
+    for (i, j), coeff in tau.terms.items():
+        c[i, j] = float(coeff.re)
+    derivs = (c, P.polyder(c, 1, axis=0), P.polyder(c, 1, axis=1),
+              P.polyder(c, 2, axis=0), P.polyder(c, 3, axis=0),
+              P.polyder(P.polyder(c, 1, axis=0), 1, axis=1))
+    m = round(half_width / step)
+    nodes = (np.arange(-m, m) + 0.5) * step
+    total = 0.0
+    for y in nodes:
+        # collapse y first: d.T lists the x-coefficient vectors by power of y
+        t, tx, ty, txx, txxx, txy = (P.polyval(nodes, P.polyval(y, d.T))
+                                     for d in derivs)
+        q = 1.5 * (t * txx - tx ** 2) / t ** 2
+        qx = 1.5 * (t ** 2 * txxx - 3 * t * tx * txx + 2 * tx ** 3) / t ** 3
+        v = 1.5 * (t * txy - tx * ty) / t ** 2
+        total += float(np.sum(1.5 * qx ** 2 + 4 * q ** 3 - 1.5 * q ** 2 - v ** 2))
+    return total * step * step

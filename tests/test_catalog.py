@@ -6,6 +6,7 @@ import pytest
 from lumps import catalog as cat
 from lumps.hirota import PRESETS, STANDARD, YANG
 from lumps.polyring import ExactPoly, QQi, poly_xy, r_squared
+from oracles import energy_oracle
 
 CAT = cat.catalog()
 
@@ -169,6 +170,20 @@ class TestEnergy:
     def test_wrong_normalization_rejected(self):
         with pytest.raises(ValueError, match="normalization"):
             cat.energy(CAT["lump2"])
+
+    @pytest.mark.parametrize(
+        "rid", ["lump2-bnew", "pelin6-bnew", "pelin12-corrected-bnew"])
+    def test_matches_unfolded_oracle(self, rid):
+        H = cat.energy(CAT[rid], half_width=60.0, step=0.1)
+        assert H == pytest.approx(
+            energy_oracle(CAT[rid].tau(), 60.0, 0.1), rel=1e-12, abs=0)
+
+    def test_vanishing_tau_raises(self):
+        # x^2 - y^2 is zero on the diagonal nodes of the midpoint grid
+        rec = cat.TauRecord("cone", (((), poly_xy({(2, 0): 1, (0, 2): -1})),),
+                            Fraction(3, 2), PRESETS["bnew"], ())
+        with pytest.raises(ArithmeticError, match="tau vanishes"):
+            cat.energy(rec, half_width=5.0, step=0.25)
 
 
 class TestRescaling:

@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from lumps import cli
 from lumps.cli import RunReport, main
 from lumps.polyring import poly_xy
 
@@ -135,6 +136,14 @@ class TestCmCheck:
         assert all(r["max_tangent_residual_of_flow"] <= 1e-9 for r in rows)
         assert report["exact"] is False
 
+    @pytest.mark.parametrize("ys", ["abc", "1,x", "1/0"])
+    def test_bad_height_is_usage_error(self, capsys, ys):
+        code, report, err = run(capsys, "cm-check", "--tau", "lump2",
+                                "--y", ys)
+        assert code == 2
+        assert report is None
+        assert "--y expects a comma list of rationals" in err
+
     def test_explicit_bnew_id(self, capsys):
         code, report, _ = run(capsys, "cm-check", "--tau", "pelin6-bnew",
                               "--y", "0")
@@ -169,6 +178,20 @@ class TestLax:
         code, _, err = run(capsys, "lax-probe", "--point", "k9+")
         assert code == 2
 
+    @pytest.mark.parametrize("x", ["1e5", "-1e5", "1e300"])
+    def test_probe_overflowing_x_is_usage_error(self, capsys, x):
+        code, report, err = run(capsys, "lax-probe", "--point", "k1+",
+                                f"--x={x}")
+        assert code == 2
+        assert report is None
+        assert "overflows the probe" in err
+
+    @pytest.mark.parametrize("point", ["k1+", "k1-", "k2+", "k2-"])
+    def test_probe_default_x(self, capsys, point):
+        code, report, _ = run(capsys, "lax-probe", "--point", point)
+        assert code == 0
+        assert report["inputs"]["x"] == 1.0
+
 
 class TestEnergyAndDegree:
     def test_energy_ratio(self, capsys):
@@ -182,6 +205,37 @@ class TestEnergyAndDegree:
         code, _, err = run(capsys, "energy", "--tau", "lump2")
         assert code == 2
         assert "normalization" in err
+
+    @pytest.mark.parametrize("window, message", [
+        (["--step", "0"], "step must be finite and > 0"),
+        (["--step=-0.1"], "step must be finite and > 0"),
+        (["--half-width=-5"], "half_width must be finite and > 0"),
+        (["--half-width", "nan"], "half_width must be finite and > 0"),
+        (["--step", "inf"], "step must be finite and > 0"),
+        (["--half-width", "1", "--step", "3"], "no grid cell"),
+    ])
+    def test_energy_bad_window_is_usage_error(self, capsys, window, message):
+        code, report, err = run(capsys, "energy", "--tau", "lump2-bnew",
+                                *window)
+        assert code == 2
+        assert report is None
+        assert message in err
+
+    def test_energy_nonfinite_sum_fails_with_reason(self, capsys, monkeypatch):
+        def vanishing(rec, half_width, step):
+            raise ArithmeticError("tau vanishes on the quadrature grid")
+
+        monkeypatch.setattr(cli.cat, "energy", vanishing)
+        code, report, _ = run(capsys, "energy", "--tau", "lump2-bnew")
+        assert code == 1
+        assert report["results"]["error"] == "tau vanishes on the quadrature grid"
+        assert "H" not in report["results"]
+
+    def test_degree_negative_k_is_usage_error(self, capsys):
+        code, report, err = run(capsys, "degree", "--k=-2")
+        assert code == 2
+        assert report is None
+        assert "--k must be >= 0" in err
 
     def test_degree(self, capsys):
         code, report, _ = run(capsys, "degree", "--k", "3")

@@ -1,5 +1,6 @@
 import cmath
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -169,3 +170,24 @@ class TestPhiEntries:
         assert g22[1] < 0.3 * g22[0]
         # values stay bounded at the would-be pole
         assert all(abs(v) < 10 for v in probe["phi12"] + probe["phi22"])
+
+
+class TestProbeBound:
+    @pytest.mark.parametrize("point", ["k1+", "k1-", "k2+", "k2-"])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_largest_accepted_x_stays_finite(self, point, sign):
+        # bisect the largest |x| the bound accepts; the probe there is finite
+        limit = math.log(sys.float_info.max)
+        lo, hi = 0.0, 1e4
+        for _ in range(60):
+            mid = (lo + hi) / 2
+            if lax.probe_log_bound(point, sign * mid) < limit:
+                lo = mid
+            else:
+                hi = mid
+        assert lo > 400
+        probe = lax.removable_probe(point, sign * lo)
+        values = probe["phi12"] + probe["phi22"]
+        gaps = probe["phi12_gaps"] + probe["phi22_gaps"]
+        assert all(cmath.isfinite(v) for v in values)
+        assert all(math.isfinite(g) for g in gaps)
