@@ -2,7 +2,8 @@
 """Reproduce the full obstruction scan: J and sigma routes over n = 1..300.
 
 Writes the CSV table and prints the zero sets with the triangular-law
-verdict.  Exact arithmetic throughout; takes ~20s single-process.
+verdict.  Exact arithmetic throughout; takes about 4 s single-process at
+the default --max-n 300 (2 vCPUs, Python 3.11.7).
 """
 
 import argparse
@@ -19,9 +20,9 @@ def main() -> int:
     ap.add_argument("--out", default="scan_jn.csv")
     args = ap.parse_args()
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     rows = classify.scan(args.max_n, routes=("J", "sigma"), jobs=args.jobs)
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     classify.write_scan_csv(rows, args.out)
 
     j_zeros = [r.n for r in rows if r.J == 0]

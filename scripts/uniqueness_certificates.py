@@ -24,9 +24,9 @@ def main() -> int:
     all_ok = True
     for k in range(1, args.max_k + 1):
         n = k * (k + 1) // 2
-        t0 = time.time()
+        t0 = time.perf_counter()
         cert = classify.uniqueness_certificate(n)
-        dt = time.time() - t0
+        dt = time.perf_counter() - t0
         all_ok = all_ok and cert.all_nonzero
         print(f"n = {n:4d} (k = {k:2d}): {len(cert.gammas):3d} gammas, "
               f"all nonzero: {cert.all_nonzero}  ({dt:.2f}s)")

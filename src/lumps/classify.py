@@ -103,6 +103,33 @@ def p_ij_definitional(n: int, i: int, j: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
+# chain arithmetic: a chain is held as integer numerators over the lcm L of its
+# denominators, so a step's pair sum is an integer over L_1 L_2 (a multiple of
+# every pair's den_k den_m) and each step builds one Fraction
+
+
+def _over_lcm(values: Sequence[Fraction]):
+    """(L, [v L for v in values]) with L the lcm of the denominators."""
+    den = math.lcm(*(v.denominator for v in values))
+    return den, [v.numerator * (den // v.denominator) for v in values]
+
+
+def _push(chain: List[Fraction], nums: List[int], den: int, value: Fraction) -> int:
+    """Append value to chain and to nums (numerators over den); return the new den."""
+    new = math.lcm(den, value.denominator)
+    scale = new // den
+    nums[:] = [s * scale for s in nums]
+    nums.append(value.numerator * (new // value.denominator))
+    chain.append(value)
+    return new
+
+
+def _dz_dzbar(q2: int, k: int, m: int) -> int:
+    """(k-m)(q2+3(m-k)) = hirota_monomial_zz(n+k, n-3k, n+m, n-q2-3m, 1, 1)."""
+    return (k - m) * (q2 + 3 * (m - k))
+
+
+# ---------------------------------------------------------------------------
 # J route
 
 PairConvention = str  # "ordered" | "unordered"
@@ -121,44 +148,39 @@ def a_seq(n: int, m_max: Optional[int] = None,
           convention: PairConvention = "ordered") -> List[Fraction]:
     """a_0 .. a_{m_max} of the leading-chain recursion (a_0 = 1).
 
-    Each a_m is the unique solution of the degree-(4n-4m) slice equation;
-    its coefficient is (multiplicity) * d(0, m), never zero for m >= 1.
+    Each a_m is the unique solution of the degree-(4n-4m) slice equation
+    sum_{i+j=m-1} a_i a_j p(n, i, j) = sum_{i+j=m} a_i a_j d(i, j); the
+    unknown's coefficient is (multiplicity) * d(0, m), never zero for m >= 1.
     """
     if m_max is None:
         m_max = n // 3
-    a = [Fraction(1)]
+    a, s, den = [Fraction(1)], [1], 1  # a[i] = s[i] / den
     for m in range(1, m_max + 1):
-        lhs_known = Fraction(0)
+        total = 0  # over den**2
         unknown_mult = 0
         for (i, j) in _pairs(m, convention):
             if m in (i, j):
                 # the pair {0, m} carries the unknown a_m (d is symmetric)
                 unknown_mult += 1
-                continue
-            lhs_known += a[i] * a[j] * d_ij(i, j)
-        rhs = Fraction(0)
+            else:
+                total -= d_ij(i, j) * s[i] * s[j]
         for (i, j) in _pairs(m - 1, convention):
-            rhs += a[i] * a[j] * p_ij(n, i, j)
-        denom = Fraction(unknown_mult * d_ij(0, m))
-        if denom == 0:
-            raise ArithmeticError(
-                f"a_seq stalled at n={n}, m={m}: unknown coefficient vanishes")
-        a.append((rhs - lhs_known) / denom)
+            total += p_ij(n, i, j) * s[i] * s[j]
+        den = _push(a, s, den, Fraction(total, unknown_mult * d_ij(0, m) * den * den))
     return a
 
 
 def j_obstruction(n: int, convention: PairConvention = "ordered") -> Fraction:
     """J_n: the terminal slice mismatch with indices capped at floor(n/3)."""
     cap = n // 3
-    a = a_seq(n, cap, convention)
-    first = Fraction(0)
+    den, s = _over_lcm(a_seq(n, cap, convention))
+    total = 0
     for (i, j) in _pairs(cap + 1, convention):
         if i <= cap and j <= cap:
-            first += a[i] * a[j] * d_ij(i, j)
-    second = Fraction(0)
+            total += d_ij(i, j) * s[i] * s[j]
     for (i, j) in _pairs(cap, convention):
-        second += a[i] * a[j] * p_ij(n, i, j)
-    return first - second
+        total -= p_ij(n, i, j) * s[i] * s[j]
+    return Fraction(total, den * den)
 
 
 # ---------------------------------------------------------------------------
@@ -179,23 +201,17 @@ def sigma_seq(n: int, j_max: Optional[int] = None) -> List[Fraction]:
     """
     if j_max is None:
         j_max = n // 3 + 1
-    sig = [Fraction(1)]
+    c4 = hirota.hirota_dx4_zz_coeff
+    sig, s, den = [Fraction(1)], [1], 1  # sig[i] = s[i] / den
     for j in range(1, j_max + 1):
-        rhs = Fraction(0)
+        total = 0  # over den**2
         for k in range(j):
             m = j - 1 - k
-            rhs += sig[k] * sig[m] * hirota.hirota_dx4_zz_coeff(n - 3 * k, n - 3 * m)
+            total += c4(n - 3 * k, n - 3 * m) * s[k] * s[m]
         for k in range(1, j):
             m = j - k
-            if m < 1 or m >= j:
-                continue
-            eig = hirota.hirota_monomial_zz(
-                n + k, n - 3 * k, n + m, n - 3 * m, 1, 1)
-            rhs -= 4 * sig[k] * sig[m] * eig
-        eigen = 8 * hirota.hirota_monomial_zz(n, n, n + j, n - 3 * j, 1, 1)
-        if eigen == 0:
-            raise ArithmeticError(f"sigma chain stalled at n={n}, j={j}")
-        sig.append(rhs / eigen)
+            total -= 4 * _dz_dzbar(0, k, m) * s[k] * s[m]
+        den = _push(sig, s, den, Fraction(total, 8 * _dz_dzbar(0, 0, j) * den * den))
     return sig
 
 
@@ -223,27 +239,19 @@ def beta_seq(n: int, q: int, sigma: Optional[Sequence[Fraction]] = None
     if not 1 <= q <= n // 2:
         raise ValueError(f"q must lie in 1..floor(n/2); got q={q}, n={n}")
     jbar = (n - 2 * q) // 3 + 1
-    if sigma is None:
-        sigma = sigma_seq(n, jbar)
-    beta = [Fraction(1)]
+    den_s, s = _over_lcm(sigma_seq(n, jbar) if sigma is None else sigma[:jbar + 1])
+    c4 = hirota.hirota_dx4_zz_coeff
+    beta, b, den = [Fraction(1)], [1], 1  # beta[i] = b[i] / den
     for j in range(1, jbar + 1):
-        rhs = Fraction(0)
+        total = 0  # over den_s * den
         for k in range(j):
             m = j - 1 - k
-            rhs += sigma[k] * beta[m] * hirota.hirota_dx4_zz_coeff(
-                n - 3 * k, n - 2 * q - 3 * m)
+            total += c4(n - 3 * k, n - 2 * q - 3 * m) * s[k] * b[m]
         for k in range(1, j):
             m = j - k
-            if m < 1:
-                continue
-            eig = hirota.hirota_monomial_zz(
-                n + k, n - 3 * k, n + m, n - 2 * q - 3 * m, 1, 1)
-            rhs -= 4 * sigma[k] * beta[m] * eig
-        eigen = 4 * hirota.hirota_monomial_zz(
-            n, n, n + j, n - 2 * q - 3 * j, 1, 1)
-        if eigen == 0:
-            raise ArithmeticError(f"beta chain stalled at n={n}, q={q}, j={j}")
-        beta.append(rhs / eigen)
+            total -= 4 * _dz_dzbar(2 * q, k, m) * s[k] * b[m]
+        eigen = 4 * _dz_dzbar(2 * q, 0, j)  # -4 j (2q + 3j)
+        den = _push(beta, b, den, Fraction(total, eigen * den_s * den))
     return beta
 
 

@@ -219,6 +219,8 @@ def cmd_cm_check(args) -> int:
     except (ValueError, ZeroDivisionError):
         raise UsageError(
             f"--y expects a comma list of rationals, got {args.y!r}") from None
+    if not ys:
+        raise UsageError("--y expects at least one height")
     rows = []
     ok = True
     for y in ys:

@@ -198,7 +198,10 @@ def _aberth(coeffs: Sequence[complex], tol: float = 1e-12,
 def roots_exact_poly(coeffs: Sequence[Fraction], tol: float = 1e-12
                      ) -> np.ndarray:
     """All complex roots of sum coeffs[k] x^k, Aberth first then companion."""
-    cf = [complex(float(c), 0.0) for c in coeffs]
+    try:
+        cf = [complex(float(c), 0.0) for c in coeffs]
+    except OverflowError:
+        raise RootFindingError("a polynomial coefficient does not fit a float") from None
     while cf and abs(cf[-1]) == 0.0:
         cf.pop()
     if len(cf) < 2:

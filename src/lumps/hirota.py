@@ -121,14 +121,15 @@ def hirota_monomial_zz(a: int, b: int, c: int, d: int, p: int, q: int) -> Fracti
     return Fraction(hirota_axis_coeff(p, a, c) * hirota_axis_coeff(q, b, d))
 
 
-def hirota_dx4_zz_coeff(b: int, d: int) -> Fraction:
+def hirota_dx4_zz_coeff(b: int, d: int) -> int:
     """Coefficient of z^{a+c} zbar^{b+d-4} in Dx^4 (z^a zbar^b).(z^c zbar^d).
 
     Dx = Dz + Dzbar, so Dx^4 splits into C(4,p) Dz^p Dzbar^{4-p}; only the
     p = 0 component keeps the full z-exponent, and its value depends on the
-    zbar exponents alone.
+    zbar exponents alone: hirota_axis_coeff(4, b, d), here expanded.
     """
-    return Fraction(hirota_axis_coeff(4, b, d))
+    s, u = b + d, (b - d) ** 2
+    return u * u + (8 - 6 * s) * u + 3 * s * (s - 2)
 
 
 @dataclass(frozen=True)

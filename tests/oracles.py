@@ -13,6 +13,11 @@ The energy oracle sums the midpoint rule row by row over the whole square
 [-R, R]^2, with the textbook quotient formulas for q, q_x and v on the full
 derivatives of tau.  It uses no parity fold, no even-power table and no
 ratio form, and differentiates with numpy rather than the library.
+
+The chain oracle runs the a/J, sigma and beta recursions exactly as the
+classify docstrings state them, step by step in plain Fraction arithmetic
+(no common denominators), with every structure constant taken from its own
+falling-factorial axis sum; it imports neither classify nor hirota.
 """
 
 from fractions import Fraction
@@ -101,3 +106,88 @@ def energy_oracle(tau: ExactPoly, half_width: float, step: float) -> float:
         v = 1.5 * (t * txy - tx * ty) / t ** 2
         total += float(np.sum(1.5 * qx ** 2 + 4 * q ** 3 - 1.5 * q ** 2 - v ** 2))
     return total * step * step
+
+
+def _falling(a: int, s: int) -> int:
+    out = 1
+    for t in range(s):
+        out *= a - t
+    return out
+
+
+def _axis(order: int, u: int, v: int) -> int:
+    """D^order (t^u).(t^v) = this integer times t^{u+v-order}."""
+    return sum((-1) ** r * comb(order, r) * _falling(u, order - r) * _falling(v, r)
+               for r in range(order + 1))
+
+
+def _zz(a: int, b: int, c: int, d: int) -> int:
+    """Dz Dzbar (z^a zbar^b).(z^c zbar^d), coefficient of z^{a+c-1} zbar^{b+d-1}."""
+    return _axis(1, a, c) * _axis(1, b, d)
+
+
+def _pairs(total: int, ordered: bool):
+    return [(i, total - i) for i in range(total + 1) if ordered or i <= total - i]
+
+
+def chain_oracle(n: int, ordered: bool = True, gammas: bool = False) -> dict:
+    """a_0..a_cap and J_n (cap = n // 3), sigma_0..sigma_{cap+1}, and gamma_q
+    for q = 1..n // 2 when ``gammas`` is set.
+
+    g_i = (x^2+y^2)^{n-3i} x^{2i} y^{2i} = (-1/16)^i (z zbar)^{n-3i}
+    (z^2 - zbar^2)^{2i}.  Dividing D g_i.g_j by the power of z zbar = x^2+y^2
+    and setting x^2 = -1, y^2 = 1 (z = 2i, zbar = 0) keeps only the lowest
+    zbar power, so p(n, i, j) = 16 (-1)^{i+j} A(4, n-3i, n-3j) for Dx^4 and
+    d(i, j) = 4 (-1)^{i+j} A(1, n+i, n+j) A(1, n-3i, n-3j) for Dx^2 + Dy^2.
+    a_m solves sum_{i+j=m-1} a_i a_j p = sum_{i+j=m} a_i a_j d, the unknown
+    sitting in the pairs that contain m; J_n = sum_{i+j=cap+1, i,j<=cap}
+    a_i a_j d - sum_{i+j=cap} a_i a_j p.  The sigma and beta steps are the
+    ones in the sigma_seq and beta_seq docstrings, with C4 = A(4, ., .) and
+    every eigenfactor and eigenvalue a Dz Dzbar coefficient.
+    """
+    def p(i, j):
+        return 16 * (-1) ** (i + j) * _axis(4, n - 3 * i, n - 3 * j)
+
+    def d(i, j):
+        return 4 * (-1) ** (i + j) * _zz(n + i, n - 3 * i, n + j, n - 3 * j)
+
+    cap = n // 3
+    a = [Fraction(1)]
+    for m in range(1, cap + 1):
+        rhs = sum((a[i] * a[j] * p(i, j) for i, j in _pairs(m - 1, ordered)),
+                  Fraction(0))
+        known = sum((a[i] * a[j] * d(i, j) for i, j in _pairs(m, ordered)
+                     if m not in (i, j)), Fraction(0))
+        unknown = sum(d(i, j) for i, j in _pairs(m, ordered) if m in (i, j))
+        a.append((rhs - known) / unknown)
+    J = (sum((a[i] * a[j] * d(i, j) for i, j in _pairs(cap + 1, ordered)
+              if i <= cap and j <= cap), Fraction(0))
+         - sum((a[i] * a[j] * p(i, j) for i, j in _pairs(cap, ordered)),
+               Fraction(0)))
+
+    sigma = [Fraction(1)]
+    for j in range(1, cap + 2):
+        rhs = Fraction(0)
+        for k in range(j):
+            m = j - 1 - k
+            rhs += sigma[k] * sigma[m] * _axis(4, n - 3 * k, n - 3 * m)
+        for k in range(1, j):
+            m = j - k
+            rhs -= 4 * sigma[k] * sigma[m] * _zz(n + k, n - 3 * k, n + m, n - 3 * m)
+        sigma.append(rhs / (8 * _zz(n, n, n + j, n - 3 * j)))
+
+    gamma = {}
+    for q in range(1, n // 2 + 1 if gammas else 1):
+        beta = [Fraction(1)]
+        for j in range(1, (n - 2 * q) // 3 + 2):
+            rhs = Fraction(0)
+            for k in range(j):
+                m = j - 1 - k
+                rhs += sigma[k] * beta[m] * _axis(4, n - 3 * k, n - 2 * q - 3 * m)
+            for k in range(1, j):
+                m = j - k
+                rhs -= 4 * sigma[k] * beta[m] * _zz(
+                    n + k, n - 3 * k, n + m, n - 2 * q - 3 * m)
+            beta.append(rhs / (4 * _zz(n, n, n + j, n - 2 * q - 3 * j)))
+        gamma[q] = beta[-1]
+    return {"a": a, "J": J, "sigma": sigma, "gamma": gamma}

@@ -4,6 +4,8 @@ from fractions import Fraction
 import pytest
 
 from lumps import classify as cl
+from lumps.hirota import hirota_monomial_zz
+from oracles import chain_oracle
 
 GAMMA_15 = {
     1: Fraction(3219950475, 374),
@@ -189,6 +191,47 @@ class TestGammaRoute:
         assert cert1.all_nonzero and cert1.gammas == {}
         assert cl.uniqueness_certificate(3).all_nonzero
         assert cl.uniqueness_certificate(6).all_nonzero
+
+
+class TestChainOracle:
+    # the integer chains against the step-by-step Fraction recursions of the
+    # docstrings, run by an oracle with its own structure constants
+
+    @pytest.mark.parametrize("convention", ["ordered", "unordered"])
+    def test_a_j_sigma_to_60(self, convention):
+        for n in range(1, 61):
+            ref = chain_oracle(n, ordered=convention == "ordered")
+            a, sig = cl.a_seq(n, convention=convention), cl.sigma_seq(n)
+            J = cl.j_obstruction(n, convention)
+            assert a == ref["a"], n
+            assert J == ref["J"], n
+            assert sig == ref["sigma"], n
+            assert all(type(v) is Fraction for v in a + sig + [J])
+
+    def test_gamma_tables_to_45(self):
+        for n in (n for n in range(1, 46) if cl.is_triangular(n)):
+            got = cl.gamma_table(n)
+            assert got == chain_oracle(n, gammas=True)["gamma"], n
+            assert all(type(v) is Fraction for v in got.values())
+
+
+class TestInlinedEigenfactors:
+    # the sigma (q2 = 0) and beta (q2 = 2q) steps use _dz_dzbar in place of
+    # hirota_monomial_zz(..., 1, 1): pair eigenfactors at (k, m), step
+    # eigenvalues at (0, j)
+    def test_matches_hirota_at_chain_arguments(self):
+        for n in (0, 1, 7, 15, 40):
+            for q2 in (0, 2, 4, 14):
+                for k in range(0, 9):
+                    for m in range(0, 9):
+                        assert cl._dz_dzbar(q2, k, m) == hirota_monomial_zz(
+                            n + k, n - 3 * k, n + m, n - q2 - 3 * m, 1, 1)
+
+    def test_step_eigenvalues(self):
+        for j in range(1, 20):
+            assert 8 * cl._dz_dzbar(0, 0, j) == -24 * j * j
+            for q in range(1, 8):
+                assert 4 * cl._dz_dzbar(2 * q, 0, j) == -4 * j * (2 * q + 3 * j)
 
 
 class TestHierarchy:

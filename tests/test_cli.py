@@ -144,6 +144,31 @@ class TestCmCheck:
         assert report is None
         assert "--y expects a comma list of rationals" in err
 
+    @pytest.mark.parametrize("ys", ["", ",", " , ,"])
+    def test_no_height_is_usage_error(self, capsys, ys):
+        code, report, err = run(capsys, "cm-check", "--tau", "lump2",
+                                f"--y={ys}")
+        assert code == 2
+        assert report is None
+        assert "--y expects at least one height" in err
+
+    @pytest.mark.parametrize("tau, y", [("lump2", "1e400"),
+                                        ("pelin12-corrected", "1e30")])
+    def test_height_beyond_float_fails_the_row(self, capsys, tau, y):
+        # a pole-polynomial coefficient overflows float: the row reports it
+        code = main(["cm-check", "--tau", tau, "--y", y])
+        out = capsys.readouterr()
+        assert code in (1, 2)
+        assert "Traceback" not in out.err
+
+        def refuse(token):
+            raise ValueError(f"non-strict JSON constant {token}")
+
+        report = json.loads(out.out, parse_constant=refuse)
+        row, = report["results"]["rows"]
+        assert row["error"] == "a polynomial coefficient does not fit a float"
+        assert report["results"]["within_tolerance"] is False
+
     def test_explicit_bnew_id(self, capsys):
         code, report, _ = run(capsys, "cm-check", "--tau", "pelin6-bnew",
                               "--y", "0")

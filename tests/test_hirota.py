@@ -177,6 +177,19 @@ class TestMonomialClosedForm:
         for n in (2, 5, 9):
             assert hirota_dx4_zz_coeff(n, n) == 12 * n * n - 12 * n
 
+    def test_dx4_closed_form_is_the_axis_sum(self):
+        # the formal chains reach negative exponents
+        for b in range(-40, 41):
+            for d in range(-40, 41):
+                c = hirota_dx4_zz_coeff(b, d)
+                assert type(c) is int
+                assert c == hirota_axis_coeff(4, b, d), (b, d)
+        big = 10**30
+        for b, d in ((big, big), (big, -big), (-big, 7), (3, big + 1)):
+            c = hirota_dx4_zz_coeff(b, d)
+            assert type(c) is int
+            assert c == hirota_axis_coeff(4, b, d), (b, d)
+
     def test_axis_coeff_symmetry(self):
         for a in range(-3, 6):
             for c in range(-3, 6):
