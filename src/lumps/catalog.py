@@ -26,7 +26,6 @@ Two documented errata travel with the catalog (see NOTES on the records):
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,7 +33,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .hirota import BNEW, PRESETS, STANDARD, YANG_ELLIPTIC, BilinearForm
+from .hirota import BNEW, STANDARD, YANG_ELLIPTIC, BilinearForm
 from .polyring import Basis, ExactPoly, poly_xy, poly_zz, r_squared
 
 ParamMonomial = Tuple[Tuple[str, int], ...]
@@ -112,11 +111,6 @@ class RationalFunction:
 
     numerator: ExactPoly
     denominator: ExactPoly
-
-    def eval_float(self, x, y):
-        num = _eval_array(self.numerator, x, y)
-        den = _eval_array(self.denominator, x, y)
-        return num / den
 
 
 def u_from_tau(rec: TauRecord, bindings: Optional[Dict[str, Fraction]] = None
@@ -387,70 +381,3 @@ def get_record(rec_id: str) -> TauRecord:
     except KeyError:
         raise KeyError(
             f"unknown tau id {rec_id!r}; known: {sorted(cat)}") from None
-
-
-# ---------------------------------------------------------------------------
-# interchange files
-
-
-def _monomial_key(monomial: ParamMonomial) -> str:
-    if not monomial:
-        return "1"
-    return "*".join(name if exp == 1 else f"{name}^{exp}"
-                    for name, exp in monomial)
-
-
-def _parse_monomial_key(key: str) -> ParamMonomial:
-    if key == "1":
-        return ()
-    factors = []
-    for part in key.split("*"):
-        if "^" in part:
-            name, exp = part.split("^")
-            factors.append((name, int(exp)))
-        else:
-            factors.append((part, 1))
-    return tuple(factors)
-
-
-def export_catalog(directory) -> None:
-    """Write every record as interchange polynomial files plus a manifest."""
-    from pathlib import Path
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    manifest = []
-    for rec in catalog().values():
-        comp_map = {}
-        for monomial, poly in rec.components:
-            key = _monomial_key(monomial)
-            fname = f"{rec.id}.{key.replace('*', '_').replace('^', '')}.poly.json"
-            (directory / fname).write_text(poly.dumps() + "\n")
-            comp_map[key] = fname
-        manifest.append({
-            "id": rec.id,
-            "scale_c": str(rec.scale_c),
-            "form": rec.form.name,
-            "params": list(rec.params),
-            "components": comp_map,
-            "notes": rec.notes,
-        })
-    (directory / "manifest.json").write_text(
-        json.dumps(manifest, indent=1) + "\n")
-
-
-def load_catalog(directory) -> Dict[str, TauRecord]:
-    """Re-create the catalog from interchange files (round-trip of export)."""
-    from pathlib import Path
-    directory = Path(directory)
-    manifest = json.loads((directory / "manifest.json").read_text())
-    out = {}
-    for entry in manifest:
-        components = []
-        for key, fname in entry["components"].items():
-            poly = ExactPoly.loads((directory / fname).read_text())
-            components.append((_parse_monomial_key(key), poly))
-        form = PRESETS[entry["form"]]
-        out[entry["id"]] = TauRecord(
-            entry["id"], tuple(components), Fraction(entry["scale_c"]),
-            form, tuple(entry["params"]), entry.get("notes", ""))
-    return out

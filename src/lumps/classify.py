@@ -37,7 +37,8 @@ from . import hirota
 from .polyring import Basis, ExactPoly
 
 # ---------------------------------------------------------------------------
-# closed-form structure constants (memoized: scans hit each (n, i, j) often)
+# closed-form structure constants (p_ij keeps its lru_cache: the perfbench
+# tracer reports p_ij.cache_info())
 
 
 @lru_cache(maxsize=None)
@@ -46,22 +47,15 @@ def d_ij(i: int, j: int) -> int:
     return -12 * (i - j) ** 2 * (-1) ** (i + j)
 
 
-def _p_quartic(n: int, i: int, j: int) -> int:
-    # symmetric in (i, j); the i = j, i = j-1, i = j-2 and i = 0 sections
-    # printed alongside it are consequences, asserted in tests
-    return (
-        1296 * i**4 - 5184 * i**3 * j + 7776 * i**2 * j**2 - 5184 * i * j**3
-        + 1296 * j**4 + 2592 * i**3 - 2592 * i**2 * j - 1728 * i**2 * n
-        - 2592 * i * j**2 + 3456 * i * j * n + 2592 * j**3 - 1728 * j**2 * n
-        + 1584 * i**2 - 1440 * i * j - 576 * i * n + 1584 * j**2 - 576 * j * n
-        + 192 * n**2 + 288 * i + 288 * j - 192 * n
-    )
-
-
 @lru_cache(maxsize=None)
 def p_ij(n: int, i: int, j: int) -> int:
-    """The degree-4 structure polynomial times (-1)^{i+j}."""
-    return (-1) ** (i + j) * _p_quartic(n, i, j)
+    """16 (-1)^{i+j} C4(n-3i, n-3j): the degree-4 structure polynomial.
+
+    C4 is ``hirota.hirota_dx4_zz_coeff``, the one definition of the quartic;
+    the i = j, i = j-1, i = j-2 and i = 0 sections printed alongside it are
+    consequences, asserted in tests.
+    """
+    return 16 * (-1) ** (i + j) * hirota.hirota_dx4_zz_coeff(n - 3 * i, n - 3 * j)
 
 
 # ---------------------------------------------------------------------------

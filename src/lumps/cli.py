@@ -231,6 +231,12 @@ def cmd_cm_check(args) -> int:
             tg1, tg2 = cm.tangent_residual(cfg, flow)
             max_locus = float(max(np.max(np.abs(l1)), np.max(np.abs(l2))))
             max_tangent = float(max(np.max(np.abs(tg1)), np.max(np.abs(tg2))))
+            if not (math.isfinite(max_locus) and math.isfinite(max_tangent)):
+                rows.append({"y": str(y), "n_poles": cfg.n, "error": (
+                    f"residual is not finite (locus {max_locus}, tangent "
+                    f"{max_tangent}): the height overflows float arithmetic")})
+                ok = False
+                continue
             rows.append({"y": str(y), "n_poles": cfg.n,
                          "max_locus_residual": max_locus,
                          "max_tangent_residual_of_flow": max_tangent})

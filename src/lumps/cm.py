@@ -89,10 +89,13 @@ def locus_residual(cfg: PoleConfig, gap_threshold: float = 1e-8
             if k == j:
                 continue
             d = cfg.eta[j] - cfg.eta[k]
-            s1 += (cfg.beta[j] + cfg.beta[k]) / d**3
-            s2 += 36.0 / d**2
+            # powers as products: complex ** raises OverflowError at huge
+            # gaps, a product overflows to inf/nan for the caller to report
+            d2 = d * d
+            s1 += (cfg.beta[j] + cfg.beta[k]) / (d * d2)
+            s2 += 36.0 / d2
         first[j] = s1
-        second[j] = cfg.beta[j] ** 2 + s2 + 3.0
+        second[j] = cfg.beta[j] * cfg.beta[j] + s2 + 3.0
     return first, second
 
 
@@ -121,9 +124,11 @@ def tangent_residual(cfg: PoleConfig, vec: TangentVector,
             if k == j:
                 continue
             d = cfg.eta[j] - cfg.eta[k]
-            s1 += (vec.b[j] + vec.b[k]) / d**3
-            s1 -= 3.0 * (cfg.beta[j] + cfg.beta[k]) * (vec.a[j] - vec.a[k]) / d**4
-            s2 += 36.0 * (vec.a[j] - vec.a[k]) / d**3
+            d2 = d * d
+            d3 = d * d2
+            s1 += (vec.b[j] + vec.b[k]) / d3
+            s1 -= 3.0 * (cfg.beta[j] + cfg.beta[k]) * (vec.a[j] - vec.a[k]) / (d2 * d2)
+            s2 += 36.0 * (vec.a[j] - vec.a[k]) / d3
         first[j] = s1
         second[j] = cfg.beta[j] * vec.b[j] - s2
     return first, second
@@ -137,7 +142,8 @@ def cm_rhs(cfg: PoleConfig, gap_threshold: float = 1e-8) -> TangentVector:
         s = 0j
         for k in range(cfg.n):
             if k != j:
-                s += 72.0 / (cfg.eta[j] - cfg.eta[k]) ** 3
+                d = cfg.eta[j] - cfg.eta[k]
+                s += 72.0 / (d * (d * d))
         b.append(s)
     return TangentVector(tuple(cfg.beta), tuple(b))
 
@@ -229,7 +235,7 @@ def poles_from_tau(rec: TauRecord, y, gap_threshold: float = 1e-8,
             f"poles_from_tau expects the (3/2)-normalization; record "
             f"{rec.id!r} has c = {rec.scale_c} (use its -bnew variant)")
     tau = rec.tau()
-    yq = Fraction(y) if not isinstance(y, float) else Fraction(y).limit_denominator(10**12)
+    yq = Fraction(y)
     coeffs = _x_coefficients(tau, yq)
     eta = roots_exact_poly(coeffs, tol=tol)
 

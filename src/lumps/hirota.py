@@ -162,9 +162,6 @@ class BilinearForm:
                 ExactPoly.zero(self.basis), "evaluate a bilinear form on")
         return _bilinear(self.terms, tau, tau, symmetric=True)
 
-    def describe(self) -> list:
-        return [{"weight": w.to_json(), "order": [a, b]} for w, a, b in self.terms]
-
 
 def _form(name: str, *terms) -> BilinearForm:
     return BilinearForm(name, tuple((QQi.of(Fraction(w)), a, b) for w, a, b in terms))

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -199,24 +200,55 @@ class TestRescaling:
             cat._sqrt3_y_rescale(poly_xy({(0, 1): 1}))
 
 
-class TestInterchangeFiles:
-    def test_shipped_data_matches_catalog(self):
-        import lumps
-        from pathlib import Path
-        data_dir = Path(lumps.__file__).parent / "data"
-        loaded = cat.load_catalog(data_dir)
-        assert set(loaded) == set(CAT)
-        for rid, rec in CAT.items():
-            other = loaded[rid]
-            assert other.scale_c == rec.scale_c
-            assert other.form.name == rec.form.name
-            assert other.params == rec.params
-            bindings = {p: Fraction(2) for p in rec.params} or None
-            assert other.bind(bindings) == rec.bind(bindings)
+class TestCatalogDigests:
+    # SHA-256 of each component's sorted "i j re im" lines: the printed
+    # records (and the errata they carry) cannot drift silently
+    DIGESTS = {
+        ("lump2", "1"): "aef8d2180b1afc210c6c18fcb2c67418bd45a56b435dd16751f9accf4eeeacdf",
+        ("lump2-bnew", "1"): "d757e2cd409489c2048cd775907c6aa176451ae5d58c9c803a33a5f626214cf7",
+        ("pelin12", "1"): "88f7a33aac721a16b893663fc9d862a57d1e9e846be2c848907ae64445b56ef8",
+        ("pelin12-corrected", "1"): "06371f0b4ee847612f679f2435a9ca6b50f25148059abe62827658aa994f072b",
+        ("pelin12-corrected-bnew", "1"): "e2176e93d3196da37b97b12eaa2b49973cbac46a8684a6790db10963ba0347bf",
+        ("pelin6", "1"): "aeb4fad3b20b65b26f6dc74a5004bbc2fcbcc540652b85c49b247d9bea986fde",
+        ("pelin6-bnew", "1"): "a983a8318adc9d9b04a08ee9b8f48275f4f95a0b15cb586a33ccb370644f10f3",
+        ("yang6", "1"): "1b2a8c6bd504c005226d89675aa59dfbb10af31de38cd0424d90e75657f6748e",
+        ("yang6", "a"): "3e6898c1bf4cec697b242675a6a3abb80bf21763c474c2cc82e9181190ff2d66",
+        ("yang6", "b"): "bc7886c3d4d01b0b6b29bd2bd035073b397ca4de1e9e5349b89cd48d33fd4bab",
+        ("yang6", "a^2"): "9f2f86d596f09a87813fc12a69ee9ae8cd9c9b781bd0b23ad60fd841838ff671",
+        ("yang6", "b^2"): "9f2f86d596f09a87813fc12a69ee9ae8cd9c9b781bd0b23ad60fd841838ff671",
+    }
+    # (scale c, form, parameters) of each record
+    SCALINGS = {
+        "lump2": ("2", "standard", ()),
+        "lump2-bnew": ("3/2", "bnew", ()),
+        "pelin12": ("2", "standard", ()),
+        "pelin12-corrected": ("2", "standard", ()),
+        "pelin12-corrected-bnew": ("3/2", "bnew", ()),
+        "pelin6": ("12", "standard", ()),
+        "pelin6-bnew": ("3/2", "bnew", ()),
+        "yang6": ("2", "yang-elliptic", ("a", "b")),
+    }
 
-    def test_export_import_roundtrip(self, tmp_path):
-        cat.export_catalog(tmp_path)
-        loaded = cat.load_catalog(tmp_path)
-        assert set(loaded) == set(CAT)
-        assert loaded["yang6"].bind({"a": Fraction(1, 3), "b": Fraction(-5)}) \
-            == CAT["yang6"].bind({"a": Fraction(1, 3), "b": Fraction(-5)})
+    @staticmethod
+    def canonical(poly):
+        assert poly.basis.value == "xy"
+        return "\n".join(f"{i} {j} {c.re} {c.im}"
+                         for (i, j), c in sorted(poly.terms.items()))
+
+    def test_component_digests(self):
+        seen = {}
+        for rid, rec in CAT.items():
+            for monomial, poly in rec.components:
+                key = "*".join(name if exp == 1 else f"{name}^{exp}"
+                               for name, exp in monomial) or "1"
+                seen[(rid, key)] = hashlib.sha256(
+                    self.canonical(poly).encode()).hexdigest()
+        assert seen == self.DIGESTS
+
+    def test_scalings(self):
+        assert {rid: (str(rec.scale_c), rec.form.name, rec.params)
+                for rid, rec in CAT.items()} == self.SCALINGS
+
+    def test_canonical_text(self):
+        assert self.canonical(CAT["lump2"].tau()) == \
+            "0 0 3 0\n0 2 1 0\n2 0 1 0"

@@ -5,7 +5,7 @@ import pytest
 
 from lumps import classify as cl
 from lumps.hirota import hirota_monomial_zz
-from oracles import chain_oracle
+from oracles import _axis, chain_oracle
 
 GAMMA_15 = {
     1: Fraction(3219950475, 374),
@@ -38,6 +38,15 @@ class TestStructureConstants:
         assert cl.p_ij(2, 0, 0) == 384
         for n in range(1, 12):
             assert cl.p_ij(n, 0, 0) == 192 * n * (n - 1)
+
+    def test_p_is_the_lowest_zbar_power_of_dx4(self):
+        # p(n, i, j) = 16 (-1)^{i+j} A(4, n-3i, n-3j), A the oracle's own
+        # falling-factorial axis sum
+        for n in range(60):
+            for i in range(-5, 20):
+                for j in range(-5, 20):
+                    assert cl.p_ij(n, i, j) == \
+                        16 * (-1) ** (i + j) * _axis(4, n - 3 * i, n - 3 * j), (n, i, j)
 
     def test_p_symmetry(self):
         for n in (5, 8, 13):

@@ -169,6 +169,22 @@ class TestCmCheck:
         assert row["error"] == "a polynomial coefficient does not fit a float"
         assert report["results"]["within_tolerance"] is False
 
+    @pytest.mark.parametrize("y", ["1e100", "1e150"])
+    def test_non_finite_residual_fails_the_row(self, capsys, y):
+        # coefficients fit a float but the residual sums overflow to nan/inf
+        code = main(["cm-check", "--tau", "lump2", "--y", y])
+        out = capsys.readouterr()
+        assert code == 1
+        assert "Traceback" not in out.err
+
+        def refuse(token):
+            raise ValueError(f"non-strict JSON constant {token}")
+
+        report = json.loads(out.out, parse_constant=refuse)
+        row, = report["results"]["rows"]
+        assert row["error"].startswith("residual is not finite")
+        assert report["results"]["within_tolerance"] is False
+
     def test_explicit_bnew_id(self, capsys):
         code, report, _ = run(capsys, "cm-check", "--tau", "pelin6-bnew",
                               "--y", "0")

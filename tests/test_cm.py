@@ -115,6 +115,15 @@ class TestPolesFromTau:
             for e in eta:
                 assert np.min(np.abs(eta - op(e))) < 1e-10
 
+    @pytest.mark.parametrize("y", [0.1, 1.0 / 3.0, -2.5, 7e-13])
+    def test_float_height_taken_exactly(self, y):
+        # a float counts at its exact binary value, not a nearby rational
+        for rid in ("lump2-bnew", "pelin6-bnew"):
+            a = cm.poles_from_tau(CAT[rid], y)
+            b = cm.poles_from_tau(CAT[rid], Fraction(y))
+            assert a.eta == b.eta
+            assert a.beta == b.beta
+
     def test_wrong_normalization_rejected(self):
         with pytest.raises(ValueError, match="normalization"):
             cm.poles_from_tau(CAT["lump2"], Fraction(0))
