@@ -34,7 +34,7 @@ from functools import lru_cache
 from typing import Dict, List, Optional, Sequence
 
 from . import hirota
-from .polyring import Basis, ExactPoly
+from .polyring import ExactPoly, QQi
 
 # ---------------------------------------------------------------------------
 # closed-form structure constants (p_ij keeps its lru_cache: the perfbench
@@ -44,7 +44,7 @@ from .polyring import Basis, ExactPoly
 @lru_cache(maxsize=None)
 def d_ij(i: int, j: int) -> int:
     """-12 (i-j)^2 (-1)^{i+j}."""
-    return -12 * (i - j) ** 2 * (-1) ** (i + j)
+    return -12 * (i - j) ** 2 * (-1) ** ((i + j) % 2)
 
 
 @lru_cache(maxsize=None)
@@ -55,7 +55,8 @@ def p_ij(n: int, i: int, j: int) -> int:
     the i = j, i = j-1, i = j-2 and i = 0 sections printed alongside it are
     consequences, asserted in tests.
     """
-    return 16 * (-1) ** (i + j) * hirota.hirota_dx4_zz_coeff(n - 3 * i, n - 3 * j)
+    # the exponent is reduced mod 2: (-1) ** k is a float at k < 0
+    return 16 * (-1) ** ((i + j) % 2) * hirota.hirota_dx4_zz_coeff(n - 3 * i, n - 3 * j)
 
 
 # ---------------------------------------------------------------------------
@@ -75,10 +76,8 @@ def _definitional(n: int, i: int, j: int, operator_orders, r_power: int) -> Frac
     if r_power < 0:
         raise ValueError(
             f"definitional quotient undefined: divisor exponent {r_power} < 0")
-    gi, gj = g_poly(n, i), g_poly(n, j)
-    acted = ExactPoly.zero(Basis.XY)
-    for w, a, b in operator_orders:
-        acted = acted + hirota.hirota_d(a, b, gi, gj).scale(Fraction(w))
+    terms = tuple((QQi.of(Fraction(w)), a, b) for w, a, b in operator_orders)
+    acted = hirota._bilinear(terms, g_poly(n, i), g_poly(n, j), symmetric=False)
     quotient = acted.divide_exact(r_squared() ** r_power)
     value = quotient.substitute_squares(Fraction(-1), Fraction(1))
     if not value.is_real():

@@ -15,10 +15,11 @@ use implicit differentiation: beta = -tau_y / tau_x at each root.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -31,7 +32,7 @@ class CoincidentPolesError(ValueError):
 
 
 class RootFindingError(RuntimeError):
-    """The simultaneous iteration and the companion fallback both failed."""
+    """Pole extraction failed; the message says why."""
 
 
 @dataclass(frozen=True)
@@ -71,6 +72,13 @@ class TangentVector:
             raise ValueError("a and b must have equal length")
 
 
+_NAN = complex(math.nan, math.nan)
+
+
+def _finite(*values: complex) -> bool:
+    return all(cmath.isfinite(v) for v in values)
+
+
 def locus_residual(cfg: PoleConfig, gap_threshold: float = 1e-8
                    ) -> Tuple[np.ndarray, np.ndarray]:
     """Per-pole residuals of the two locus identities.
@@ -90,9 +98,14 @@ def locus_residual(cfg: PoleConfig, gap_threshold: float = 1e-8
                 continue
             d = cfg.eta[j] - cfg.eta[k]
             # powers as products: complex ** raises OverflowError at huge
-            # gaps, a product overflows to inf/nan for the caller to report
+            # gaps; a power past float range makes this pole's residual nan
+            # for the caller to report
             d2 = d * d
-            s1 += (cfg.beta[j] + cfg.beta[k]) / (d * d2)
+            d3 = d * d2
+            if not _finite(d2, d3):
+                s1 = s2 = _NAN
+                break
+            s1 += (cfg.beta[j] + cfg.beta[k]) / d3
             s2 += 36.0 / d2
         first[j] = s1
         second[j] = cfg.beta[j] * cfg.beta[j] + s2 + 3.0
@@ -126,8 +139,12 @@ def tangent_residual(cfg: PoleConfig, vec: TangentVector,
             d = cfg.eta[j] - cfg.eta[k]
             d2 = d * d
             d3 = d * d2
+            d4 = d2 * d2
+            if not _finite(d2, d3, d4):
+                s1 = s2 = _NAN
+                break
             s1 += (vec.b[j] + vec.b[k]) / d3
-            s1 -= 3.0 * (cfg.beta[j] + cfg.beta[k]) * (vec.a[j] - vec.a[k]) / (d2 * d2)
+            s1 -= 3.0 * (cfg.beta[j] + cfg.beta[k]) * (vec.a[j] - vec.a[k]) / d4
             s2 += 36.0 * (vec.a[j] - vec.a[k]) / d3
         first[j] = s1
         second[j] = cfg.beta[j] * vec.b[j] - s2
@@ -166,9 +183,29 @@ def _x_coefficients(tau: ExactPoly, y: Fraction) -> list:
     return coeffs
 
 
+def _evaluate(c: np.ndarray, z: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """p(z) and |p(z)| / (1 + |z|)^n for p = sum c[k] x^k of degree n.
+
+    Past float range these are inf or nan, which callers test for; numpy's
+    overflow warnings are silenced here.
+    """
+    n = len(c) - 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = np.polyval(c[::-1], z)
+        return p, np.abs(p) / (1.0 + np.abs(z)) ** n
+
+
+def _within(scaled: np.ndarray, tol: float) -> bool:
+    return bool(np.all(np.isfinite(scaled)) and np.all(scaled <= tol))
+
+
 def _aberth(coeffs: Sequence[complex], tol: float = 1e-12,
-            max_iter: int = 400) -> Optional[np.ndarray]:
-    """Aberth-Ehrlich simultaneous iteration on a monic-normalized polynomial."""
+            max_iter: int = 400) -> np.ndarray:
+    """Aberth-Ehrlich simultaneous iteration on a monic-normalized polynomial.
+
+    Raises RootFindingError with the reason when a polynomial value or a
+    step leaves float range, or when the iteration does not converge.
+    """
     c = np.array(coeffs, dtype=complex)
     c = c / c[-1]
     n = len(c) - 1
@@ -179,26 +216,24 @@ def _aberth(coeffs: Sequence[complex], tol: float = 1e-12,
     angles = 2 * np.pi * (np.arange(n) + 0.376) / n
     z = radius * np.exp(1j * angles) * (1 + 0.05 * np.cos(3 * angles))
 
-    powers = np.arange(n + 1)
     for _ in range(max_iter):
-        p = np.polyval(c[::-1], z)
-        scale = (1.0 + np.abs(z)) ** n
-        if np.all(np.abs(p) / scale <= tol):
+        p, scaled = _evaluate(c, z)
+        if not np.all(np.isfinite(scaled)):
+            raise RootFindingError("root iteration: polynomial value is not finite")
+        if np.all(scaled <= tol):
             return z
-        dp = np.polyval(dc[::-1], z)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            newton = p / dp
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            newton = p / np.polyval(dc[::-1], z)
             diff = z[:, None] - z[None, :]
             np.fill_diagonal(diff, np.inf)
             repulsion = np.sum(1.0 / diff, axis=1)
             w = newton / (1.0 - newton * repulsion)
         if not np.all(np.isfinite(w)):
-            return None
+            raise RootFindingError("root iteration: step is not finite")
         z = z - w
-    p = np.polyval(c[::-1], z)
-    if np.all(np.abs(p) / (1.0 + np.abs(z)) ** n <= tol * 100):
+    if _within(_evaluate(c, z)[1], tol * 100):
         return z
-    return None
+    raise RootFindingError(f"root iteration: no convergence in {max_iter} steps")
 
 
 def roots_exact_poly(coeffs: Sequence[Fraction], tol: float = 1e-12
@@ -212,14 +247,13 @@ def roots_exact_poly(coeffs: Sequence[Fraction], tol: float = 1e-12
         cf.pop()
     if len(cf) < 2:
         raise ValueError("polynomial must have positive degree")
-    z = _aberth(cf, tol=tol)
-    if z is None:
+    try:
+        z = _aberth(cf, tol=tol)
+    except RootFindingError as exc:
         z = np.roots(np.array(cf[::-1], dtype=complex))
-        n = len(cf) - 1
-        p = np.polyval(np.array(cf[::-1]) / cf[-1], z)
-        if not np.all(np.abs(p) / (1.0 + np.abs(z)) ** n <= tol * 1e3):
-            raise RootFindingError("root iteration and companion fallback "
-                                   "both failed to reach tolerance")
+        if not _within(_evaluate(np.array(cf) / cf[-1], z)[1], tol * 1e3):
+            raise RootFindingError(
+                f"{exc}; companion fallback failed to reach tolerance") from None
     return np.sort_complex(z)
 
 

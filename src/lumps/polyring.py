@@ -14,6 +14,12 @@ Conversion between the two bases is the exact linear substitution
     x = (z + zbar)/2,   y = (z - zbar)/(2i)
 
 and its inverse ``z = x + iy``, ``zbar = x - iy``; round trips are identities.
+
+Products, basis conversion, exact division and the square substitution run
+on integer-scaled coefficients: the QQi coefficients are brought to one
+common denominator, the inner loops work on Gaussian-integer numerators,
+and the result is divided back once.  QQi stays the coefficient type of
+every polynomial.
 """
 
 from __future__ import annotations
@@ -125,7 +131,6 @@ class QQi:
 ZERO = QQi()
 ONE = QQi(Fraction(1))
 I = QQi(Fraction(0), Fraction(1))
-HALF = QQi(Fraction(1, 2))
 
 
 class Basis(Enum):
@@ -345,14 +350,24 @@ class ExactPoly:
         """
         if self.basis is not Basis.XY:
             raise BasisMismatchError("substitute_squares expects an (x,y)-polynomial")
-        xs, ys = QQi.of(x2), QQi.of(y2)
-        total = ZERO
-        for (i, j), c in self._terms.items():
+        for (i, j) in self._terms:
             if i % 2 or j % 2:
                 raise ValueError(
                     f"substitute_squares: term x^{i} y^{j} has an odd exponent")
-            total = total + c * _int_pow(xs, i // 2) * _int_pow(ys, j // 2)
-        return total
+        # with x2 = X/dx and y2 = Y/dy, term c x^2a y^2b is the Gaussian
+        # integer c X^a dx^(A-a) Y^b dy^(B-b) over D dx^A dy^B
+        den_c, scaled = _scaled(self._terms.values())
+        (dx, (x,)), (dy, (y,)) = _scaled((QQi.of(x2),)), _scaled((QQi.of(y2),))
+        a_max, b_max = self.degree_in(0) // 2, self.degree_in(1) // 2
+        pow_x, pow_y = _powers_over(x, dx, a_max), _powers_over(y, dy, b_max)
+        re = im = 0
+        for (i, j), (cr, cm) in zip(self._terms, scaled):
+            (xr, xm), (yr, ym) = pow_x[i // 2], pow_y[j // 2]
+            pr, pm = xr * yr - xm * ym, xr * ym + xm * yr
+            re += cr * pr - cm * pm
+            im += cr * pm + cm * pr
+        den = den_c * dx ** a_max * dy ** b_max
+        return QQi(Fraction(re, den), Fraction(im, den))
 
     # -- exact division -----------------------------------------------
 
@@ -362,6 +377,12 @@ class ExactPoly:
         Division proceeds by leading-term elimination in graded-lex order.
         If the division leaves a nonzero remainder, ExactDivisionError is
         raised carrying that remainder.
+
+        The remainder is held as Gaussian-integer numerators over one
+        denominator.  Each step forms one QQi quotient of the leading terms;
+        when its denominator times the divisor's does not divide the
+        remainder's, the remainder is rescaled to their lcm (never for a
+        monic divisor with integer coefficients).
         """
         self._require_same_basis(divisor, "divide")
         if divisor.is_zero():
@@ -372,27 +393,42 @@ class ExactPoly:
 
         lead_g = max(divisor._terms, key=order_key)
         cg = divisor._terms[lead_g]
-        rem = dict(self._terms)
+        den_g, gs = _scaled(divisor._terms.values())
+        tail = [(key, g) for key, g in zip(divisor._terms, gs) if key != lead_g]
+        den, scaled = _scaled(self._terms.values())
+        re = dict(zip(self._terms, (r for r, _ in scaled)))
+        im = dict(zip(self._terms, (m for _, m in scaled)))
         quot: dict = {}
         stuck: dict = {}
-        while rem:
-            lead_r = max(rem, key=order_key)
-            cr = rem.pop(lead_r)
+        while re:
+            lead_r = max(re, key=order_key)
+            cr = QQi(Fraction(re.pop(lead_r), den), Fraction(im.pop(lead_r), den))
             di, dj = lead_r[0] - lead_g[0], lead_r[1] - lead_g[1]
             if di < 0 or dj < 0:
                 stuck[lead_r] = cr
                 continue
             factor = cr / cg
-            quot[(di, dj)] = quot.get((di, dj), ZERO) + factor
-            for (gi, gj), gc in divisor._terms.items():
+            quot[(di, dj)] = factor
+            den_f, ((fr, fm),) = _scaled((factor,))
+            step = den_f * den_g
+            if den % step:
+                new = lcm(den, step)
+                k = new // den
+                re = {key: r * k for key, r in re.items()}
+                im = {key: m * k for key, m in im.items()}
+                den = new
+            k = den // step
+            fr, fm = fr * k, fm * k
+            # the leading term cancels by construction; subtract the rest
+            for (gi, gj), (gr, gm) in tail:
                 key = (gi + di, gj + dj)
-                s = rem.get(key, ZERO) - factor * gc
-                if s.is_zero():
-                    rem.pop(key, None)
+                r = re.get(key, 0) - (fr * gr - fm * gm)
+                m = im.get(key, 0) - (fr * gm + fm * gr)
+                if r or m:
+                    re[key], im[key] = r, m
                 else:
-                    rem[key] = s
-            # the eliminated leading term re-enters rem as zero; drop it
-            rem.pop(lead_r, None)
+                    re.pop(key, None)
+                    im.pop(key, None)
         if stuck:
             remainder = ExactPoly(stuck, self.basis)
             raise ExactDivisionError(
@@ -406,39 +442,72 @@ class ExactPoly:
         """Substitute x = (z+zbar)/2, y = (z-zbar)/(2i); exact."""
         if self.basis is not Basis.XY:
             raise BasisMismatchError("to_zzbar expects an (x,y)-polynomial")
-        # x -> (z + zbar)/2 ; y -> -i(z - zbar)/2
-        x_sub = ExactPoly({(1, 0): HALF, (0, 1): HALF}, Basis.ZZBAR)
-        y_sub = ExactPoly({(1, 0): -I * HALF, (0, 1): I * HALF}, Basis.ZZBAR)
-        return self._substitute(x_sub, y_sub, Basis.ZZBAR)
+        # 2x -> z + zbar ; 2y -> -i z + i zbar
+        return self._substitute(((1, 0), (1, 0)), ((0, -1), (0, 1)), 2, Basis.ZZBAR)
 
     def to_xy(self) -> "ExactPoly":
         """Substitute z = x + iy, zbar = x - iy; exact."""
         if self.basis is not Basis.ZZBAR:
             raise BasisMismatchError("to_xy expects a (z,zbar)-polynomial")
-        z_sub = ExactPoly({(1, 0): ONE, (0, 1): I}, Basis.XY)
-        zb_sub = ExactPoly({(1, 0): ONE, (0, 1): -I}, Basis.XY)
-        return self._substitute(z_sub, zb_sub, Basis.XY)
+        return self._substitute(((1, 0), (0, 1)), ((1, 0), (0, -1)), 1, Basis.XY)
 
-    def _substitute(self, first: "ExactPoly", second: "ExactPoly",
+    def _substitute(self, first: tuple, second: tuple, den: int,
                     target: Basis) -> "ExactPoly":
-        pow_first = {0: ExactPoly.constant(1, target)}
-        pow_second = {0: ExactPoly.constant(1, target)}
+        """self with its variables replaced by the linear forms first/den and
+        second/den of the target's variables.
 
-        def power(cache, base, n):
-            if n not in cache:
-                below = max(k for k in cache if k <= n)
-                acc = cache[below]
-                for k in range(below + 1, n + 1):
-                    acc = acc * base
-                    cache[k] = acc
-            return cache[n]
+        A form holds the Gaussian integers (re, im) multiplying the target's
+        two variables; its n-th power is a list indexed by the exponent of
+        the second one.  Term (i, j) contributes c first^i second^j /
+        den^(i+j), a Gaussian integer over D den^T (D the common denominator
+        of self's coefficients, T the total degree).  Terms are added in
+        sorted order and a sum that cancels is dropped, which fixes the order
+        of the result's monomials: float code that walks them (the energy
+        tables, pole evaluation) sums in that order.
+        """
+        def powers(form, n):
+            (pr, pm), (qr, qm) = form
+            table = [[(1, 0)]]
+            for _ in range(n):
+                prev = table[-1]
+                nxt = [(0, 0)] * (len(prev) + 1)
+                for s, (r, m) in enumerate(prev):
+                    ar, am = nxt[s]
+                    nxt[s] = (ar + r * pr - m * pm, am + r * pm + m * pr)
+                    ar, am = nxt[s + 1]
+                    nxt[s + 1] = (ar + r * qr - m * qm, am + r * qm + m * qr)
+                table.append(nxt)
+            return table
 
-        total = ExactPoly.zero(target)
-        for (i, j) in sorted(self._terms):
-            c = self._terms[(i, j)]
-            term = power(pow_first, first, i) * power(pow_second, second, j)
-            total = total + term.scale(c)
-        return total
+        total = self.total_degree()
+        pow_first = powers(first, self.degree_in(0))
+        pow_second = powers(second, self.degree_in(1))
+        den_c, scaled = _scaled(self._terms.values())
+        coeffs = dict(zip(self._terms, scaled))
+        re: dict = {}
+        im: dict = {}
+        for (i, j) in sorted(coeffs):
+            k = den ** (total - i - j)
+            cr, cm = coeffs[(i, j)]
+            cr, cm = cr * k, cm * k
+            pr, pm = {}, {}  # first^i second^j, by exponent of the second variable
+            for a, (ar, am) in enumerate(pow_first[i]):
+                for b, (br, bm) in enumerate(pow_second[j]):
+                    pr[a + b] = pr.get(a + b, 0) + ar * br - am * bm
+                    pm[a + b] = pm.get(a + b, 0) + ar * bm + am * br
+            for s, lr in pr.items():
+                lm = pm[s]
+                if not (lr or lm):
+                    continue
+                key = (i + j - s, s)
+                r = re.get(key, 0) + cr * lr - cm * lm
+                m = im.get(key, 0) + cr * lm + cm * lr
+                if r or m:
+                    re[key], im[key] = r, m
+                else:
+                    re.pop(key, None)
+                    im.pop(key, None)
+        return _from_scaled(re, im, den_c * den ** total, target)
 
     # -- serialization ------------------------------------------------
 
@@ -483,6 +552,16 @@ def _from_scaled(re: dict, im: dict, den: int, basis: Basis) -> ExactPoly:
         if r or m:
             out[key] = QQi(Fraction(r, den), Fraction(m, den))
     return ExactPoly(out, basis)
+
+
+def _powers_over(base: tuple, den: int, n: int) -> list:
+    """[base^k den^(n-k) for k = 0..n], base a Gaussian integer (re, im)."""
+    br, bm = base
+    out = [(1, 0)]
+    for _ in range(n):
+        r, m = out[-1]
+        out.append((r * br - m * bm, r * bm + m * br))
+    return [(r * den ** (n - k), m * den ** (n - k)) for k, (r, m) in enumerate(out)]
 
 
 def _int_pow(base: QQi, n: int) -> QQi:

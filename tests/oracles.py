@@ -14,6 +14,16 @@ The energy oracle sums the midpoint rule row by row over the whole square
 derivatives of tau.  It uses no parity fold, no even-power table and no
 ratio form, and differentiates with numpy rather than the library.
 
+The substitution oracle converts between the (x, y) and (z, zbar) bases by
+the explicit binomial expansion of each monomial, on (re, im) pairs of plain
+Fractions: no power tables, no common denominators, no QQi arithmetic.
+
+The squares oracle evaluates x^2 -> x2, y^2 -> y2 term by term with
+repeated QQi multiplication.
+
+The division oracle is the leading-term elimination in graded-lex order on a
+plain dict of QQi coefficients, one QQi operation per term and step.
+
 The chain oracle runs the a/J, sigma and beta recursions exactly as the
 classify docstrings state them, step by step in plain Fraction arithmetic
 (no common denominators), with every structure constant taken from its own
@@ -25,7 +35,7 @@ from math import comb, factorial
 
 import numpy as np
 
-from lumps.polyring import ExactPoly, QQi
+from lumps.polyring import Basis, ExactPoly, QQi
 
 # four-variable sparse polynomial: (ix, iy, ih1, ih2) -> QQi
 
@@ -74,6 +84,88 @@ def product_oracle(f: ExactPoly, g: ExactPoly) -> ExactPoly:
             key = (i1 + i2, j1 + j2)
             out[key] = out.get(key, QQi()) + c1 * c2
     return ExactPoly(out, f.basis)
+
+
+def _i_power(re: Fraction, im: Fraction, k: int) -> tuple:
+    """(re + im i) * i^k as an (re, im) pair."""
+    for _ in range(k % 4):
+        re, im = -im, re
+    return re, im
+
+
+def substitute_oracle(poly: ExactPoly) -> ExactPoly:
+    """poly in the other basis, one monomial at a time by the binomial theorem.
+
+    x^i y^j = ((z+zbar)/2)^i (-i(z-zbar)/2)^j
+            = sum_{p,q} C(i,p) C(j,q) (-1)^(j-q) (-i)^j / 2^(i+j)
+                        z^(p+q) zbar^(i+j-p-q),
+    z^a zbar^b = (x+iy)^a (x-iy)^b
+               = sum_{p,q} C(a,p) C(b,q) i^p (-i)^q x^(a+b-p-q) y^(p+q).
+    """
+    to_zz = poly.basis is Basis.XY
+    out = {}
+    for (i, j), c in poly.terms.items():
+        for p in range(i + 1):
+            for q in range(j + 1):
+                if to_zz:
+                    w = Fraction(comb(i, p) * comb(j, q) * (-1) ** (j - q), 2 ** (i + j))
+                    key, turn = (p + q, i + j - p - q), 3 * j
+                else:
+                    w = Fraction(comb(i, p) * comb(j, q))
+                    key, turn = (i + j - p - q, p + q), p + 3 * q
+                re, im = _i_power(c.re * w, c.im * w, turn)
+                acc = out.setdefault(key, [Fraction(0), Fraction(0)])
+                acc[0] += re
+                acc[1] += im
+    return ExactPoly({k: QQi(re, im) for k, (re, im) in out.items()},
+                     Basis.ZZBAR if to_zz else Basis.XY)
+
+
+def division_oracle(f: ExactPoly, g: ExactPoly) -> tuple:
+    """(quotient, remainder) of f by g: leading-term elimination in graded-lex
+    order, on QQi coefficients; a leading term g's cannot divide moves to the
+    remainder."""
+    assert f.basis is g.basis and not g.is_zero()
+
+    def order_key(key):
+        return (key[0] + key[1], key[0])
+
+    gt = g.terms
+    lead_g = max(gt, key=order_key)
+    cg = gt[lead_g]
+    rem = f.terms
+    quot, stuck = {}, {}
+    while rem:
+        lead_r = max(rem, key=order_key)
+        cr = rem.pop(lead_r)
+        di, dj = lead_r[0] - lead_g[0], lead_r[1] - lead_g[1]
+        if di < 0 or dj < 0:
+            stuck[lead_r] = cr
+            continue
+        factor = cr / cg
+        quot[(di, dj)] = quot.get((di, dj), QQi()) + factor
+        for (gi, gj), gc in gt.items():
+            key = (gi + di, gj + dj)
+            s = rem.get(key, QQi()) - factor * gc
+            if s.is_zero():
+                rem.pop(key, None)
+            else:
+                rem[key] = s
+        rem.pop(lead_r, None)
+    return ExactPoly(quot, f.basis), ExactPoly(stuck, f.basis)
+
+
+def squares_oracle(poly: ExactPoly, x2: QQi, y2: QQi) -> QQi:
+    """sum c x2^(i/2) y2^(j/2) over the terms c x^i y^j, by repeated QQi
+    multiplication."""
+    total = QQi()
+    for (i, j), c in poly.terms.items():
+        for _ in range(i // 2):
+            c = c * x2
+        for _ in range(j // 2):
+            c = c * y2
+        total = total + c
+    return total
 
 
 def energy_oracle(tau: ExactPoly, half_width: float, step: float) -> float:

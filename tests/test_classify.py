@@ -48,6 +48,16 @@ class TestStructureConstants:
                     assert cl.p_ij(n, i, j) == \
                         16 * (-1) ** (i + j) * _axis(4, n - 3 * i, n - 3 * j), (n, i, j)
 
+    def test_int_at_negative_index_sum(self):
+        # (-1) ** k is a float at k < 0; the structure constants stay ints
+        assert cl.p_ij(5, -1, 0) == 1920 and type(cl.p_ij(5, -1, 0)) is int
+        assert cl.d_ij(-1, 0) == 12 and type(cl.d_ij(-1, 0)) is int
+        for i in range(-6, 3):
+            for j in range(-6, 3):
+                assert type(cl.p_ij(7, i, j)) is int, (i, j)
+                assert type(cl.d_ij(i, j)) is int, (i, j)
+        assert cl.d_ij(-2, 1) == -12 * 9 * (-1) ** 1
+
     def test_p_symmetry(self):
         for n in (5, 8, 13):
             for i in range(5):

@@ -1,7 +1,11 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -184,6 +188,25 @@ class TestCmCheck:
         row, = report["results"]["rows"]
         assert row["error"].startswith("residual is not finite")
         assert report["results"]["within_tolerance"] is False
+
+    @pytest.mark.parametrize("y", ["1e100", "1e150"])
+    def test_overflowing_height_leaves_stderr_empty(self, y):
+        # a fresh interpreter, so numpy warnings reach stderr unfiltered
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        proc = subprocess.run(
+            [sys.executable, "-m", "lumps.cli", "cm-check", "--tau", "lump2",
+             "--y", y], capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 1
+        assert proc.stderr == ""
+
+        def refuse(token):
+            raise ValueError(f"non-strict JSON constant {token}")
+
+        row, = json.loads(proc.stdout, parse_constant=refuse)["results"]["rows"]
+        assert row["error"].startswith("residual is not finite")
 
     def test_explicit_bnew_id(self, capsys):
         code, report, _ = run(capsys, "cm-check", "--tau", "pelin6-bnew",

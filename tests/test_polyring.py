@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import exact_polys, gaussian_rationals, random_poly, wide_polys
+from conftest import (
+    exact_polys, gaussian_rationals, random_poly, wide_polys, wide_rationals)
 from lumps.polyring import (
     Basis, BasisMismatchError, ExactDivisionError, ExactPoly, QQi,
     poly_xy, poly_zz, r_squared, x_plus_iy_power)
-from oracles import product_oracle
+from oracles import (
+    division_oracle, product_oracle, squares_oracle, substitute_oracle)
 
 
 class TestQQi:
@@ -144,6 +146,53 @@ class TestBasisConversion:
         assert lhs == g.diff(0, 1) + g.diff(1, 1)
 
 
+@st.composite
+def complex_lead_divisors(draw, basis):
+    """Wide polynomials whose graded-lex leading coefficient is a non-real,
+    non-unit Gaussian rational."""
+    terms = draw(wide_polys(basis=basis, max_degree=3, max_terms=3)).terms
+    lead = max(terms, key=lambda k: (k[0] + k[1], k[0]))
+    nonzero = wide_rationals.filter(bool)
+    terms[lead] = QQi(draw(nonzero), draw(nonzero))
+    return ExactPoly(terms, basis)
+
+
+class TestAgainstOracles:
+    @settings(max_examples=80)
+    @given(wide_polys(max_degree=8, max_terms=6), st.sampled_from(list(Basis)))
+    def test_conversion_matches_substitute_oracle(self, f, basis):
+        f = ExactPoly(f.terms, basis)
+        got = f.to_zzbar() if basis is Basis.XY else f.to_xy()
+        assert got == substitute_oracle(f)
+
+    @settings(max_examples=60)
+    @given(st.sampled_from(list(Basis)), st.data())
+    def test_exact_division_matches_division_oracle(self, basis, data):
+        g = data.draw(complex_lead_divisors(basis))
+        q = data.draw(wide_polys(basis=basis, max_degree=3, max_terms=3))
+        f = q * g
+        quot, rem = division_oracle(f, g)
+        assert rem.is_zero()
+        assert f.divide_exact(g) == quot == q
+
+    @settings(max_examples=60)
+    @given(st.sampled_from(list(Basis)), st.data())
+    def test_nonexact_division_matches_division_oracle(self, basis, data):
+        g = data.draw(complex_lead_divisors(basis))
+        q = data.draw(wide_polys(basis=basis, max_degree=3, max_terms=3))
+        r = data.draw(wide_polys(basis=basis, max_degree=2, max_terms=2))
+        f = q * g + r
+        quot, rem = division_oracle(f, g)
+        if rem.is_zero():
+            assert f.divide_exact(g) == quot
+            return
+        with pytest.raises(ExactDivisionError) as err:
+            f.divide_exact(g)
+        assert err.value.remainder == rem
+        assert str(err.value) == (f"polynomial division is not exact; "
+                                  f"remainder has {rem.num_terms()} term(s)")
+
+
 class TestDivideExact:
     def test_difference_of_fourth_powers(self):
         f = poly_xy({(4, 0): 1, (0, 4): -1})
@@ -209,6 +258,12 @@ class TestSubstituteSquares:
         assert (r_squared() ** 2).substitute_squares(-1, 1) == QQi()
         assert poly_xy({(4, 0): 1, (0, 4): 1}).substitute_squares(-1, 1) == \
             QQi(Fraction(2))
+
+    @settings(max_examples=60)
+    @given(wide_polys(max_degree=5), gaussian_rationals(), gaussian_rationals())
+    def test_matches_squares_oracle(self, f, x2, y2):
+        f = ExactPoly({(2 * i, 2 * j): c for (i, j), c in f.terms.items()})
+        assert f.substitute_squares(x2, y2) == squares_oracle(f, x2, y2)
 
     def test_odd_exponent_rejected(self):
         with pytest.raises(ValueError, match="odd exponent"):
