@@ -2,8 +2,8 @@
 """Reproduce the full obstruction scan: J and sigma routes over n = 1..300.
 
 Writes the CSV table and prints the zero sets with the triangular-law
-verdict.  Exact arithmetic throughout; takes about 4 s single-process at
-the default --max-n 300 (2 vCPUs, Python 3.11.7).
+verdict.  Exact arithmetic throughout; takes about 4 s at the default --max-n 300
+(2 vCPUs, Python 3.11.7).
 """
 
 import argparse
@@ -16,12 +16,11 @@ from lumps import classify
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--max-n", type=int, default=300)
-    ap.add_argument("--jobs", type=int, default=1)
     ap.add_argument("--out", default="scan_jn.csv")
     args = ap.parse_args()
 
     t0 = time.perf_counter()
-    rows = classify.scan(args.max_n, routes=("J", "sigma"), jobs=args.jobs)
+    rows = classify.scan(args.max_n, routes=("J", "sigma"))
     elapsed = time.perf_counter() - t0
     classify.write_scan_csv(rows, args.out)
 

@@ -5,8 +5,7 @@ Subpackages:
 * polyring: sparse bivariate polynomials over Gaussian rationals with
   exact (x,y) <-> (z,zbar) conversion;
 * hirota: bilinear derivative operators, bilinear forms and residuals;
-* catalog: explicit tau records, verification, u reconstruction, decay
-  and energy checks;
+* catalog: explicit tau records, verification and the energy quadrature;
 * classify: the J / sigma / gamma obstruction routes and the degree law;
 * cm: Calogero-Moser pole locus, tangent space and flow checks;
 * lax: spectral data of the third-order Lax system;

@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -103,59 +103,6 @@ def verify_tau(rec: TauRecord, bindings: Optional[Dict[str, Fraction]] = None,
     f = form if form is not None else rec.form
     residual = f.residual(tau)
     return VerifyResult(rec.id, f.name, residual.is_zero(), residual)
-
-
-@dataclass(frozen=True)
-class RationalFunction:
-    """numerator / denominator with exact polynomial entries (denominator tau^2)."""
-
-    numerator: ExactPoly
-    denominator: ExactPoly
-
-
-def u_from_tau(rec: TauRecord, bindings: Optional[Dict[str, Fraction]] = None
-               ) -> RationalFunction:
-    """u = c * dxx log tau as the exact rational function c(tau tau_xx - tau_x^2)/tau^2."""
-    tau = rec.bind(bindings)
-    if tau.is_zero():
-        raise ValueError("tau must be nonzero")
-    tx = tau.diff(0, 1)
-    txx = tau.diff(0, 2)
-    num = (tau * txx - tx * tx).scale(rec.scale_c)
-    return RationalFunction(num, tau * tau)
-
-
-# ---------------------------------------------------------------------------
-# decay check
-
-
-@dataclass(frozen=True)
-class DecayReport:
-    radii: Tuple[float, ...]
-    bounds: Tuple[float, ...]          # max |u| r^2 per circle
-    skipped: Tuple[Tuple[float, float], ...]  # (r, angle) of skipped samples
-
-
-def decay_check(u: RationalFunction, radii: Sequence[float],
-                samples_per_circle: int = 720,
-                denominator_floor: float = 1e-12) -> DecayReport:
-    """max of |u| r^2 over circle samples; near-zero denominators are skipped."""
-    bounds = []
-    skipped = []
-    for r in radii:
-        theta = np.linspace(0.0, 2 * math.pi, samples_per_circle, endpoint=False)
-        xs = r * np.cos(theta)
-        ys = r * np.sin(theta)
-        num = _eval_array(u.numerator, xs, ys)
-        den = _eval_array(u.denominator, xs, ys)
-        scale = max(1.0, float(np.max(np.abs(den))))
-        good = np.abs(den) > denominator_floor * scale
-        for t in theta[~good]:
-            skipped.append((float(r), float(t)))
-        vals = np.abs(num[good] / den[good]) * r * r
-        bounds.append(float(np.max(vals)) if vals.size else 0.0)
-    return DecayReport(tuple(float(r) for r in radii), tuple(bounds),
-                       tuple(skipped))
 
 
 # ---------------------------------------------------------------------------
@@ -247,15 +194,6 @@ def energy(rec: TauRecord, half_width: float = 200.0, step: float = 0.05
             f"energy sum of {rec.id!r} is not finite: tau vanishes (or "
             f"overflows) on the quadrature grid")
     return total
-
-
-def _eval_array(p: ExactPoly, xs, ys):
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    out = np.zeros(np.broadcast(xs, ys).shape)
-    for (i, j), q in p.terms.items():
-        out = out + float(q.re) * xs**i * ys**j
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -27,14 +27,13 @@ from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence
 
 from . import hirota
-from .polyring import ExactPoly, QQi
+from .polyring import ExactPoly, QQi, poly_xy
 
 # ---------------------------------------------------------------------------
 # closed-form structure constants (p_ij keeps its lru_cache: the perfbench
@@ -64,21 +63,21 @@ def p_ij(n: int, i: int, j: int) -> int:
 
 
 def g_poly(n: int, j: int) -> ExactPoly:
-    """(x^2+y^2)^{n-3j} x^{2j} y^{2j}; requires n - 3j >= 0."""
-    if n - 3 * j < 0:
-        raise ValueError(f"g_{j} is not defined for n={n}: n-3j = {n - 3 * j} < 0")
-    from .polyring import r_squared
-    return (r_squared() ** (n - 3 * j)) * ExactPoly.monomial(2 * j, 2 * j)
+    """(x^2+y^2)^{n-3j} x^{2j} y^{2j} by the binomial theorem; needs n - 3j >= 0."""
+    k = n - 3 * j
+    if k < 0:
+        raise ValueError(f"g_{j} is not defined for n={n}: n-3j = {k} < 0")
+    return poly_xy({(2 * (k - t + j), 2 * (t + j)): math.comb(k, t)
+                    for t in range(k + 1)})
 
 
 def _definitional(n: int, i: int, j: int, operator_orders, r_power: int) -> Fraction:
-    from .polyring import r_squared
     if r_power < 0:
         raise ValueError(
             f"definitional quotient undefined: divisor exponent {r_power} < 0")
     terms = tuple((QQi.of(Fraction(w)), a, b) for w, a, b in operator_orders)
     acted = hirota._bilinear(terms, g_poly(n, i), g_poly(n, j), symmetric=False)
-    quotient = acted.divide_exact(r_squared() ** r_power)
+    quotient = acted.divide_exact(g_poly(r_power, 0))
     value = quotient.substitute_squares(Fraction(-1), Fraction(1))
     if not value.is_real():
         raise ArithmeticError("definitional quotient produced a non-real value")
@@ -345,8 +344,7 @@ class ScanRow:
         return is_triangular(self.n)
 
 
-def _scan_one(args) -> ScanRow:
-    n, routes, convention = args
+def _scan_one(n: int, routes: Sequence[str], convention: PairConvention) -> ScanRow:
     row = ScanRow(n)
     try:
         if "J" in routes:
@@ -366,18 +364,16 @@ def _scan_one(args) -> ScanRow:
 
 
 def scan(max_n: int, routes: Sequence[str] = ("J", "sigma"),
-         jobs: int = 1, convention: PairConvention = "ordered") -> List[ScanRow]:
+         convention: PairConvention = "ordered") -> List[ScanRow]:
     """Per-n obstruction rows for n = 1..max_n; route agreement enforced."""
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
+    if not routes:
+        raise ValueError("at least one route is required (J, sigma, gamma)")
     for r in routes:
         if r not in ("J", "sigma", "gamma"):
             raise ValueError(f"unknown route {r!r}")
-    work = [(n, tuple(routes), convention) for n in range(1, max_n + 1)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_scan_one, work, chunksize=8))
-    return [_scan_one(w) for w in work]
+    return [_scan_one(n, routes, convention) for n in range(1, max_n + 1)]
 
 
 def write_scan_csv(rows: Sequence[ScanRow], path: str) -> None:

@@ -27,8 +27,8 @@ import numpy as np
 
 from . import catalog as cat
 from . import classify, cm, lax
-from .hirota import PRESETS, custom_form
-from .polyring import ExactPoly
+from .hirota import PRESETS, STANDARD, custom_form
+from .polyring import Basis, ExactPoly
 
 
 class UsageError(Exception):
@@ -75,7 +75,7 @@ def _resolve_form(name: Optional[str], custom: Optional[str]):
         try:
             triples = json.loads(custom)
             return custom_form(triples)
-        except (ValueError, TypeError) as exc:
+        except (ValueError, TypeError, ArithmeticError) as exc:  # 1/0, 1e400
             raise UsageError(f"malformed --custom-form: {exc}") from exc
     if name is None:
         return None
@@ -101,21 +101,26 @@ def _parse_params(pairs) -> Dict[str, Fraction]:
 
 
 def _load_record(spec: str):
-    """A catalog id, or a path to an interchange polynomial file."""
+    """A catalog id, or a path to an interchange polynomial file in either basis."""
     path = Path(spec)
-    if path.suffix == ".json" or path.exists():
-        try:
-            poly = ExactPoly.loads(path.read_text())
-        except FileNotFoundError:
-            raise UsageError(f"polynomial file not found: {spec}")
-        except (ValueError, KeyError, json.JSONDecodeError) as exc:
-            raise UsageError(f"malformed polynomial file {spec}: {exc}") from exc
-        from .hirota import STANDARD
-        return cat.TauRecord(path.stem, (((), poly),), Fraction(2), STANDARD, ())
     try:
-        return cat.get_record(spec)
-    except KeyError as exc:
-        raise UsageError(str(exc)) from None
+        text = path.read_text() if path.suffix == ".json" or path.exists() else None
+    except FileNotFoundError:
+        raise UsageError(f"polynomial file not found: {spec}") from None
+    except (OSError, ValueError) as exc:  # a directory, a binary file, a bad name
+        raise UsageError(f"cannot read polynomial file {spec}: {exc}") from None
+    if text is None:
+        try:
+            return cat.get_record(spec)
+        except KeyError as exc:
+            raise UsageError(str(exc)) from None
+    try:
+        poly = ExactPoly.loads(text)
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
+        raise UsageError(f"malformed polynomial file {spec}: {exc}") from exc
+    if poly.basis is Basis.ZZBAR:
+        poly = poly.to_xy()
+    return cat.TauRecord(path.stem, (((), poly),), Fraction(2), STANDARD, ())
 
 
 # ---------------------------------------------------------------------------
@@ -153,12 +158,14 @@ def cmd_scan_jn(args) -> int:
     t0 = time.perf_counter()
     routes = tuple(r.strip() for r in args.routes.split(",") if r.strip())
     try:
-        rows = classify.scan(args.max_n, routes, jobs=args.jobs,
-                             convention=args.pair_convention)
+        rows = classify.scan(args.max_n, routes)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     if args.out:
-        classify.write_scan_csv(rows, args.out)
+        try:
+            classify.write_scan_csv(rows, args.out)
+        except OSError as exc:
+            raise UsageError(f"cannot write --out {args.out}: {exc}") from None
     errors = [r.error for r in rows if r.error]
     zero_rows = [r.n for r in rows if r.is_zero]
     triangulars = [r.n for r in rows if r.triangular]
@@ -166,9 +173,7 @@ def cmd_scan_jn(args) -> int:
         r in routes for r in ("J", "sigma")) else None
     report = RunReport(
         command="scan-jn",
-        inputs={"max_n": args.max_n, "routes": list(routes),
-                "jobs": args.jobs, "out": args.out,
-                "pair_convention": args.pair_convention},
+        inputs={"max_n": args.max_n, "routes": list(routes), "out": args.out},
         results={
             "rows": len(rows),
             "zero_set": zero_rows,
@@ -207,6 +212,8 @@ def cmd_certify(args) -> int:
 
 def cmd_cm_check(args) -> int:
     t0 = time.perf_counter()
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        raise UsageError(f"--tol must be finite and >= 0, got {args.tol}")
     rec_id = args.tau
     if not rec_id.endswith("-bnew"):
         rec_id = rec_id + "-bnew"
@@ -386,11 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=int, required=True)
     p.add_argument("--routes", default="J,sigma",
                    help="comma list from J,sigma,gamma")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", default=None, help="CSV output path")
-    p.add_argument("--pair-convention", default="ordered",
-                   choices=("ordered", "unordered"),
-                   help="A/B flag for the quadratic-sum convention")
     p.set_defaults(func=cmd_scan_jn)
 
     p = sub.add_parser("certify", help="uniqueness certificate for one n")

@@ -287,26 +287,3 @@ def poles_from_tau(rec: TauRecord, y, gap_threshold: float = 1e-8,
     cfg = PoleConfig(tuple(complex(e) for e in eta), tuple(beta))
     cfg.require_distinct(gap_threshold)
     return cfg
-
-
-def pair_roots(reference: Sequence[complex], candidates: Sequence[complex],
-               ambiguity_ratio: float = 0.5) -> list:
-    """Match each reference root to its nearest candidate, injectively.
-
-    Raises RootFindingError when the matching is ambiguous (second-nearest
-    candidate closer than ``ambiguity_ratio`` times the gap between distinct
-    reference roots) instead of guessing.
-    """
-    remaining = list(enumerate(candidates))
-    out = []
-    for r in reference:
-        remaining.sort(key=lambda ic: abs(ic[1] - r))
-        if len(remaining) >= 2:
-            d0 = abs(remaining[0][1] - r)
-            d1 = abs(remaining[1][1] - r)
-            if d0 > 0 and (d1 - d0) < ambiguity_ratio * d0:
-                raise RootFindingError(
-                    f"ambiguous root pairing near {r}: two candidates at "
-                    f"distance {d0:.3e} and {d1:.3e}")
-        out.append(remaining.pop(0)[1])
-    return out

@@ -186,16 +186,11 @@ YANG_ELLIPTIC = _form("yang-elliptic", (1, 4, 0), (-3, 2, 0), (-3, 0, 2))
 PRESETS = {f.name: f for f in (STANDARD, EVEN_SECTION, YANG, YANG_ELLIPTIC, BNEW)}
 
 
-def preset(name: str) -> BilinearForm:
-    try:
-        return PRESETS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown bilinear form {name!r}; available: {sorted(PRESETS)}"
-        ) from None
-
-
 def custom_form(spec: Sequence, basis: Basis = Basis.XY) -> BilinearForm:
-    """Build a form from (weight, a, b) triples; weights parsed as Fractions."""
+    """Build a form from a non-empty list of (weight, a, b) triples; weights
+    parsed as Fractions.  An empty form would be solved by every tau."""
+    if not (isinstance(spec, (list, tuple)) and spec and all(
+            isinstance(t, (list, tuple)) and len(t) == 3 for t in spec)):
+        raise ValueError("a custom form is a non-empty list of [weight, a, b] triples")
     terms = tuple((QQi.of(Fraction(str(w))), int(a), int(b)) for w, a, b in spec)
     return BilinearForm("custom", terms, basis)

@@ -31,16 +31,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
-import numpy as np
-
-
-class SingularSpectralPointError(ValueError):
-    """e_matrix evaluated where a normalization factor vanishes."""
-
-    def __init__(self, factor: str, k: complex):
-        super().__init__(f"{factor} = 0 at k = {k}: the normalization blows up")
-        self.factor = factor
-
 
 def eigenvalues(k: complex) -> Tuple[complex, complex, complex]:
     """(lambda_1, lambda_2, lambda_3) with the principal branch of the root."""
@@ -154,46 +144,6 @@ def phase_consistency(entry: PhaseEntry) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# normalized eigenvector matrix
-
-
-def e_matrix(k: complex, tol: float = 1e-12) -> Tuple[np.ndarray, complex]:
-    """E = n(k) P(k) with n(k) = ((3k^2+2) sqrt(3k^2+8))^{-1}, plus n itself.
-
-    Raises SingularSpectralPointError naming the vanished factor near the
-    four distinguished points.
-    """
-    f1 = 3 * k * k + 2
-    f2 = 3 * k * k + 8
-    if abs(f1) <= tol * max(1.0, abs(3 * k * k)):
-        raise SingularSpectralPointError("3k^2+2", k)
-    if abs(f2) <= tol * max(1.0, abs(3 * k * k)):
-        raise SingularSpectralPointError("3k^2+8", k)
-    lams = eigenvalues(k)
-    P = np.array([
-        [1.0, 1.0, 1.0],
-        [lams[0], lams[1], lams[2]],
-        [lams[0] ** 2, lams[1] ** 2, lams[2] ** 2],
-    ], dtype=complex)
-    n = 1.0 / (f1 * cmath.sqrt(f2))
-    return n * P, n
-
-
-def det_normalization(k: complex) -> Tuple[complex, complex]:
-    """(det E, n * det P): the printed claim is det = 1.
-
-    det P is the Vandermonde product (3k^2+2) sqrt(3k^2+8) = 1/n, so
-    n * det P = 1 exactly, while det(E) = det(n P) = n^3 det P = n^2.
-    The observed discrepancy (det E = n^2, a k-dependent value rather
-    than 1) is recorded rather than patched.
-    """
-    E, n = e_matrix(k)
-    detE = complex(np.linalg.det(E))
-    detP = detE / n ** 3
-    return detE, n * detP
-
-
-# ---------------------------------------------------------------------------
 # Phi entries and the removable-singularity probe
 
 _SERIES_CUTOFF = 0.25
@@ -238,7 +188,10 @@ def _phi_coefficients(k: complex) -> Tuple[Tuple[complex, ...], ...]:
 
 
 def phi_entries(k: complex, x: float) -> Tuple[complex, complex]:
-    """(Phi_12, Phi_22) of E e^{Mx} E^{-1} via the cosh/sinhc closed forms.
+    """(Phi_12, Phi_22) of P e^{Mx} P^{-1} via the cosh/sinhc closed forms.
+
+    P is the Vandermonde matrix of the eigenvalues (rows 1, lambda_j,
+    lambda_j^2) and M = diag(lambda_j); a normalization n(k) P cancels.
 
     With zeta = (x^2/4)(3k^2+8):
 

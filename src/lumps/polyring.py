@@ -185,11 +185,6 @@ class ExactPoly:
         return ExactPoly({(0, 0): QQi.of(c)}, basis)
 
     @staticmethod
-    def variable(axis: int, basis: Basis = Basis.XY) -> "ExactPoly":
-        key = (1, 0) if axis == 0 else (0, 1)
-        return ExactPoly({key: ONE}, basis)
-
-    @staticmethod
     def monomial(i: int, j: int, c: "QQi | Rat" = 1, basis: Basis = Basis.XY) -> "ExactPoly":
         return ExactPoly({(i, j): QQi.of(c)}, basis)
 
@@ -295,10 +290,6 @@ class ExactPoly:
             n >>= 1
         return result
 
-    def conjugate_coeffs(self) -> "ExactPoly":
-        return ExactPoly({k: c.conjugate() for k, c in self._terms.items()},
-                         self.basis)
-
     # -- calculus -----------------------------------------------------
 
     def diff(self, var: "int | str", order: int = 1) -> "ExactPoly":
@@ -321,20 +312,6 @@ class ExactPoly:
         return poly
 
     # -- evaluation ---------------------------------------------------
-
-    def eval_exact(self, a: "QQi | Rat", b: "QQi | Rat") -> QQi:
-        """Evaluate at exact first/second-variable values."""
-        av, bv = QQi.of(a), QQi.of(b)
-        pow_a = {0: ONE}
-        pow_b = {0: ONE}
-        total = ZERO
-        for (i, j), c in self._terms.items():
-            if i not in pow_a:
-                pow_a[i] = _int_pow(av, i)
-            if j not in pow_b:
-                pow_b[j] = _int_pow(bv, j)
-            total = total + c * pow_a[i] * pow_b[j]
-        return total
 
     def eval_complex(self, a: complex, b: complex) -> complex:
         total = 0j
@@ -562,17 +539,6 @@ def _powers_over(base: tuple, den: int, n: int) -> list:
         r, m = out[-1]
         out.append((r * br - m * bm, r * bm + m * br))
     return [(r * den ** (n - k), m * den ** (n - k)) for k, (r, m) in enumerate(out)]
-
-
-def _int_pow(base: QQi, n: int) -> QQi:
-    result = ONE
-    b = base
-    while n:
-        if n & 1:
-            result = result * b
-        b = b * b
-        n >>= 1
-    return result
 
 
 # -- convenience builders used throughout the test-suite and catalog ----

@@ -21,6 +21,9 @@ Fractions: no power tables, no common denominators, no QQi arithmetic.
 The squares oracle evaluates x^2 -> x2, y^2 -> y2 term by term with
 repeated QQi multiplication.
 
+The evaluation oracle multiplies out each term at exact values of the two
+variables, one QQi product per factor.
+
 The division oracle is the leading-term elimination in graded-lex order on a
 plain dict of QQi coefficients, one QQi operation per term and step.
 
@@ -119,6 +122,18 @@ def substitute_oracle(poly: ExactPoly) -> ExactPoly:
                 acc[1] += im
     return ExactPoly({k: QQi(re, im) for k, (re, im) in out.items()},
                      Basis.ZZBAR if to_zz else Basis.XY)
+
+
+def eval_oracle(poly: ExactPoly, a, b) -> QQi:
+    """poly at exact values a, b of its two variables, term by term."""
+    total = QQi()
+    for (i, j), c in poly.terms.items():
+        term = c
+        for value, power in ((a, i), (b, j)):
+            for _ in range(power):
+                term = term * value
+        total = total + term
+    return total
 
 
 def division_oracle(f: ExactPoly, g: ExactPoly) -> tuple:

@@ -1,11 +1,10 @@
 import hashlib
-import math
 from fractions import Fraction
 
 import pytest
 
 from lumps import catalog as cat
-from lumps.hirota import PRESETS, STANDARD, YANG
+from lumps.hirota import PRESETS, YANG
 from lumps.polyring import ExactPoly, QQi, poly_xy, r_squared
 from oracles import energy_oracle
 
@@ -101,54 +100,6 @@ class TestRecordInvariants:
         # after y -> sqrt(3) y the leading slice is (x^2 + 3 y^2)^n
         tau = CAT["lump2-bnew"].tau()
         assert tau == poly_xy({(2, 0): 1, (0, 2): 3, (0, 0): 3})
-
-
-class TestUFromTau:
-    def test_lump2(self):
-        u = cat.u_from_tau(CAT["lump2"])
-        assert u.numerator == poly_xy({(0, 2): 4, (2, 0): -4, (0, 0): 12})
-        tau = CAT["lump2"].tau()
-        assert u.denominator == tau * tau
-
-    def test_constant_tau(self):
-        rec = cat.TauRecord("const", (((), ExactPoly.constant(5)),),
-                            Fraction(2), STANDARD, ())
-        u = cat.u_from_tau(rec)
-        assert u.numerator.is_zero()
-
-    def test_degree_bookkeeping(self):
-        for rid in ("lump2", "pelin6", "pelin12-corrected"):
-            u = cat.u_from_tau(CAT[rid])
-            assert u.numerator.total_degree() == \
-                u.denominator.total_degree() - 2
-
-    def test_zero_tau_rejected(self):
-        rec = cat.TauRecord("zero", (((), ExactPoly.zero()),),
-                            Fraction(2), STANDARD, ())
-        with pytest.raises(ValueError):
-            cat.u_from_tau(rec)
-
-
-class TestDecay:
-    def test_lump2_bound_approaches_four(self):
-        u = cat.u_from_tau(CAT["lump2"])
-        report = cat.decay_check(u, [10.0, 100.0, 1000.0])
-        assert not report.skipped
-        # |u| r^2 -> 4 along the y-axis; bounds stay near that constant
-        assert all(b <= 4.001 for b in report.bounds)
-        assert abs(report.bounds[-1] - 4.0) < 1e-3
-        # non-increasing structural trend is not required, but boundedness is
-        assert max(report.bounds) - min(report.bounds) < 0.2
-
-    def test_zero_u(self):
-        u = cat.RationalFunction(ExactPoly.zero(), ExactPoly.constant(1))
-        report = cat.decay_check(u, [10.0])
-        assert report.bounds == (0.0,)
-
-    def test_pelin6_finite(self):
-        u = cat.u_from_tau(CAT["pelin6"])
-        report = cat.decay_check(u, [5.0, 50.0, 500.0])
-        assert all(math.isfinite(b) for b in report.bounds)
 
 
 class TestEnergy:

@@ -301,12 +301,6 @@ class TestScan:
         # exact rationals serialized as integer/fraction strings, never floats
         assert all("." not in row[1] for row in body)
 
-    def test_parallel_matches_serial(self):
-        serial = cl.scan(12, routes=("J", "sigma"))
-        parallel = cl.scan(12, routes=("J", "sigma"), jobs=2)
-        assert [(r.n, r.J, r.sigma_obstruction) for r in serial] == \
-            [(r.n, r.J, r.sigma_obstruction) for r in parallel]
-
     def test_bad_route(self):
         with pytest.raises(ValueError):
             cl.scan(5, routes=("nope",))

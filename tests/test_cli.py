@@ -11,7 +11,7 @@ import pytest
 
 from lumps import cli
 from lumps.cli import RunReport, main
-from lumps.polyring import poly_xy
+from lumps.polyring import poly_xy, poly_zz
 
 
 def run(capsys, *argv):
@@ -73,12 +73,48 @@ class TestVerify:
         assert code == 2
         assert "malformed" in err
 
+    def test_zzbar_file_input(self, capsys, tmp_path):
+        # z zbar + 3 is lump2 written in the (z, zbar) basis
+        path = tmp_path / "tau.json"
+        path.write_text(poly_zz({(1, 1): 1, (0, 0): 3}).dumps())
+        code, report, _ = run(capsys, "verify", "--tau", str(path))
+        assert code == 0
+        assert report["results"]["is_solution"] is True
+
+    @pytest.mark.parametrize("text", ["[1, 2]", '{"basis": "xy", "terms": 5}',
+                                      '{"basis": "xy", "terms": [[1e400, 0, "1"]]}'])
+    def test_malformed_structure_exits_two(self, capsys, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code, report, err = run(capsys, "verify", "--tau", str(path))
+        assert code == 2
+        assert report is None
+        assert "malformed polynomial file" in err
+
+    def test_unreadable_path_exits_two(self, capsys, tmp_path):
+        binary = tmp_path / "tau.bin"
+        binary.write_bytes(bytes(range(256)))
+        for spec in (str(tmp_path), str(binary), "a" * 300):
+            code, report, err = run(capsys, "verify", "--tau", spec)
+            assert code == 2
+            assert report is None
+            assert "cannot read polynomial file" in err
+
     def test_custom_form(self, capsys):
         custom = json.dumps([["1", 4, 0], ["-3", 2, 0], ["-3", 0, 2]])
         code, report, _ = run(capsys, "verify", "--tau", "yang6",
                               "--param", "a=0", "--param", "b=0",
                               "--custom-form", custom)
         assert code == 0
+
+    @pytest.mark.parametrize("custom", ["[]", "{}", '["140"]', '{"140": 1}'])
+    def test_empty_or_shapeless_custom_form_exits_two(self, capsys, custom):
+        # an empty form is solved by every tau
+        code, report, err = run(capsys, "verify", "--tau", "pelin12",
+                                "--custom-form", custom)
+        assert code == 2
+        assert report is None
+        assert "non-empty list of [weight, a, b] triples" in err
 
 
 class TestScan:
@@ -104,6 +140,30 @@ class TestScan:
         code, _, err = run(capsys, "scan-jn", "--max-n", "5",
                            "--routes", "bogus")
         assert code == 2
+
+    @pytest.mark.parametrize("routes", ["", ",", " , "])
+    def test_no_route_exits_two(self, capsys, routes):
+        code, report, err = run(capsys, "scan-jn", "--max-n", "5",
+                                f"--routes={routes}")
+        assert code == 2
+        assert report is None
+        assert "at least one route" in err
+
+    def test_unwritable_out_exits_two(self, capsys, tmp_path):
+        for out in (tmp_path / "missing" / "x.csv", tmp_path):
+            code, report, err = run(capsys, "scan-jn", "--max-n", "5",
+                                    "--out", str(out))
+            assert code == 2
+            assert report is None
+            assert "cannot write --out" in err
+
+    @pytest.mark.parametrize("option", [["--jobs", "2"],
+                                        ["--pair-convention", "unordered"]])
+    def test_removed_options_exit_two(self, capsys, option):
+        with pytest.raises(SystemExit) as exc:
+            main(["scan-jn", "--max-n", "5", *option])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
 
 class TestCertify:
@@ -207,6 +267,14 @@ class TestCmCheck:
 
         row, = json.loads(proc.stdout, parse_constant=refuse)["results"]["rows"]
         assert row["error"].startswith("residual is not finite")
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_bad_tol_is_usage_error(self, capsys, tol):
+        code, report, err = run(capsys, "cm-check", "--tau", "lump2",
+                                f"--tol={tol}")
+        assert code == 2
+        assert report is None
+        assert "--tol must be finite and >= 0" in err
 
     def test_explicit_bnew_id(self, capsys):
         code, report, _ = run(capsys, "cm-check", "--tau", "pelin6-bnew",
@@ -319,6 +387,19 @@ class TestReport:
         report = RunReport("energy", {}, {"H": float("nan")}, 0.0, False)
         with pytest.raises(ValueError):
             report.emit(io.StringIO())
+
+    def test_import_loads_no_process_pool(self):
+        # a fresh interpreter: importing the CLI stays free of multiprocessing
+        code = ("import sys, lumps.cli; print(sorted(m for m in sys.modules if m in "
+                "('multiprocessing', 'concurrent.futures')))")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_timing_is_monotonic_clock(self, capsys, monkeypatch):
         def wall_clock():

@@ -12,8 +12,8 @@ import lumps
 from conftest import exact_polys, random_poly, wide_polys, wide_rationals
 from lumps.hirota import (
     BNEW, EVEN_SECTION, STANDARD, YANG, YANG_ELLIPTIC, BilinearForm, custom_form,
-    hirota_axis_coeff, hirota_d, hirota_dx4_zz_coeff, hirota_monomial_zz,
-    preset)
+    PRESETS, hirota_axis_coeff, hirota_d, hirota_dx4_zz_coeff,
+    hirota_monomial_zz)
 from lumps.polyring import Basis, BasisMismatchError, ExactPoly, QQi, \
     poly_xy, poly_zz
 from oracles import hirota_oracle
@@ -226,18 +226,16 @@ class TestBilinearForm:
             BilinearForm("bad", ((QQi.of(0), 2, 0),))
 
     def test_presets(self):
-        assert preset("standard") is STANDARD
-        assert preset("even-section") is EVEN_SECTION
-        assert preset("yang") is YANG
-        assert preset("bnew") is BNEW
-        assert preset("yang-elliptic") is YANG_ELLIPTIC
-        with pytest.raises(KeyError):
-            preset("nope")
+        forms = (STANDARD, EVEN_SECTION, YANG, BNEW, YANG_ELLIPTIC)
+        assert set(PRESETS) == {"standard", "even-section", "yang", "bnew",
+                                "yang-elliptic"}
+        assert all(PRESETS[f.name] is f for f in forms)
+        assert "nope" not in PRESETS
 
     def test_yang_elliptic_without_catalog(self):
         # the preset must not depend on which lumps module was imported first
         code = ("import sys; from lumps import hirota; "
-                "print(hirota.preset('yang-elliptic').name, "
+                "print(hirota.PRESETS['yang-elliptic'].name, "
                 "'lumps.catalog' in sys.modules)")
         src = str(Path(lumps.__file__).resolve().parents[1])
         env = dict(os.environ)

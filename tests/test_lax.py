@@ -11,6 +11,16 @@ from lumps import lax
 SQRT6 = math.sqrt(6.0)
 
 
+def vandermonde(k):
+    """P(k): column j is (1, lambda_j, lambda_j^2) for the library's eigenvalues."""
+    return np.vander(np.array(lax.eigenvalues(k)), 3, increasing=True).T
+
+
+def normalization(k):
+    """n(k) = ((3k^2+2) sqrt(3k^2+8))^{-1}, principal branch."""
+    return 1.0 / ((3 * k * k + 2) * cmath.sqrt(3 * k * k + 8))
+
+
 class TestEigenvalues:
     def test_k_zero(self):
         l1, l2, l3 = lax.eigenvalues(0)
@@ -95,37 +105,29 @@ class TestPhaseTable:
 
 
 class TestEMatrix:
+    """E = n(k) P(k) on the Vandermonde P of lax.eigenvalues."""
+
     def test_unit_normalization_relation(self):
+        # n det P = 1 (det P is the Vandermonde product), while det(n P) =
+        # n^3 det P = n^2 is the k-dependent 1/((3k^2+2)^2 (3k^2+8))
         rng = np.random.default_rng(11)
-        count = 0
-        while count < 50:
+        for _ in range(50):
             k = complex(rng.normal(), rng.normal())
-            try:
-                detE, n_detP = lax.det_normalization(k)
-            except lax.SingularSpectralPointError:
-                continue
-            assert abs(n_detP - 1.0) < 1e-10
+            n = normalization(k)
+            P = vandermonde(k)
+            assert abs(n * np.linalg.det(P) - 1.0) < 1e-10
             f1 = 3 * k * k + 2
             f2 = 3 * k * k + 8
-            assert detE == pytest.approx(1.0 / (f1 * f1 * f2), rel=1e-8)
-            count += 1
+            assert np.linalg.det(n * P) == pytest.approx(
+                1.0 / (f1 * f1 * f2), rel=1e-8)
 
     def test_examples(self):
         for k in (1.0 + 0j, 1j):
-            _, n_detP = lax.det_normalization(k)
-            assert abs(n_detP - 1.0) < 1e-12
-
-    def test_singular_points_raise_with_factor_name(self):
-        with pytest.raises(lax.SingularSpectralPointError) as err:
-            lax.e_matrix(lax.point_value("k1+"))
-        assert err.value.factor == "3k^2+2"
-        with pytest.raises(lax.SingularSpectralPointError) as err:
-            lax.e_matrix(lax.point_value("k2-"))
-        assert err.value.factor == "3k^2+8"
+            assert abs(normalization(k) * np.linalg.det(vandermonde(k)) - 1.0) < 1e-12
 
     def test_columns_are_eigenvectors(self):
         k = 0.8 - 0.3j
-        E, _ = lax.e_matrix(k)
+        E = normalization(k) * vandermonde(k)
         T = np.array([[0, 1, 0], [0, 0, 1],
                       [-1j * (k**3 + 2 * k), 2, 0]], dtype=complex)
         lams = lax.eigenvalues(k)
@@ -150,10 +152,10 @@ class TestPhiEntries:
                 cmath.sinh(w) / w, rel=1e-13)
 
     def test_matrix_exponential_agreement(self):
-        # Phi = E e^{Mx} E^{-1} computed densely agrees with the closed forms
+        # Phi = E e^{Mx} E^{-1} computed densely on E = n P agrees with the closed forms
         k = 0.9 + 0.4j
         x = 0.7
-        E, _ = lax.e_matrix(k)
+        E = normalization(k) * vandermonde(k)
         lams = lax.eigenvalues(k)
         Phi = E @ np.diag([cmath.exp(l * x) for l in lams]) @ np.linalg.inv(E)
         p12, p22 = lax.phi_entries(k, x)
