@@ -20,9 +20,15 @@ from lumps.hirota import STANDARD
 from lumps.polyring import poly_zz
 
 
-def corrected_candidates(printed_zz):
-    """(slot, epsilon) pairs whose symmetric correction zeroes the residual."""
+def corrected_candidates(printed_zz, R0):
+    """(slot, epsilon) pairs whose symmetric correction zeroes the residual.
+
+    R0 is the residual of the printed polynomial.  Every form has even total
+    order, so with E the symmetric slot monomial the residual of tau0 + eps E
+    is R0 + 2 eps B(tau0, E) + eps^2 R(E), B the form's pairing.
+    """
     base_terms = printed_zz.terms
+    tau0 = printed_zz.to_xy()
     slots = sorted({(a, b) for (a, b) in base_terms if a >= b},
                    key=lambda k: (-(k[0] + k[1]), -k[0]))
 
@@ -34,13 +40,12 @@ def corrected_candidates(printed_zz):
             t[(b, a)] = t.get((b, a), 0) + eps
         return poly_zz(t).to_xy()
 
-    R0 = STANDARD.residual(printed_zz.to_xy())
     found = []
     for slot in slots:
-        R1 = STANDARD.residual(tau_with(slot, Fraction(1)))
-        R2 = STANDARD.residual(tau_with(slot, Fraction(2)))
-        quad = (R2 - R1.scale(2) + R0).scale(Fraction(1, 2))
-        lin = R1 - R0 - quad
+        a, b = slot
+        E = poly_zz({(a, b): 1, (b, a): 1} if a != b else {(a, b): 1}).to_xy()
+        quad = STANDARD.residual(E)
+        lin = STANDARD.pairing(tau0, E).scale(2)
         key = next(iter(sorted(lin.terms)), None)
         if key is None:
             continue
@@ -73,7 +78,7 @@ def main() -> int:
     print(f"n = 6 gamma certificate: {dict(cert.gammas)} "
           f"(all nonzero: {cert.all_nonzero})")
 
-    fixes = corrected_candidates(printed_zz)
+    fixes = corrected_candidates(printed_zz, res)
     for (a, b), eps in fixes:
         old = printed_zz.coeff(a, b).re
         print(f"single-coefficient fix: z^{a} zbar^{b} (+ mirror): "

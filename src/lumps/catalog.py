@@ -109,6 +109,11 @@ def verify_tau(rec: TauRecord, bindings: Optional[Dict[str, Fraction]] = None,
 # energy
 
 
+#: largest half_width/step accepted by ``energy``: 10^12 evaluations already
+#: take hours, and a larger window would fail to allocate its node arrays
+MAX_ENERGY_CELLS = 10**6
+
+
 def energy(rec: TauRecord, half_width: float = 200.0, step: float = 0.05
            ) -> float:
     """Quadrature estimate of H(q) for a record in the q = (3/2) dxx log tau scaling.
@@ -133,9 +138,10 @@ def energy(rec: TauRecord, half_width: float = 200.0, step: float = 0.05
 
     the integrand is 3.375 qh_x^2 + qh^2 (13.5 qh - 3.375) - 2.25 vh^2.
 
-    Raises ValueError for a window with no grid cell or a record outside
-    the (3/2) normalization or not even, and ArithmeticError when the sum
-    is not finite (tau vanishes, or overflows, at a grid node).
+    Raises ValueError for a window with no grid cell or more than
+    MAX_ENERGY_CELLS cells per side, or a record outside the (3/2)
+    normalization or not even, and ArithmeticError when the sum is not
+    finite (tau vanishes, or overflows, at a grid node).
     """
     for name, value in (("half_width", half_width), ("step", step)):
         if not (math.isfinite(value) and value > 0):
@@ -144,6 +150,10 @@ def energy(rec: TauRecord, half_width: float = 200.0, step: float = 0.05
     if not (math.isfinite(cells) and round(cells) >= 1):
         raise ValueError(
             f"half_width/step = {cells} leaves no grid cell in [0, R]")
+    if round(cells) > MAX_ENERGY_CELLS:
+        raise ValueError(
+            f"half_width/step = {cells} exceeds {MAX_ENERGY_CELLS} grid cells "
+            "per side")
     if rec.scale_c != Fraction(3, 2):
         raise ValueError(
             f"energy expects the (3/2) dxx log tau normalization; record "

@@ -12,21 +12,31 @@ pairs of terms of f and g, each pair written straight to its output
 monomial.  The pass runs on integer-scaled coefficients: f and g are brought
 to common denominators, so inside the loop every coefficient is a Gaussian
 integer, and the result is divided back once.  A(order, u, v) = 0 whenever
-u + v < order, so no pair lands on a negative exponent.
+u, v >= 0 and u + v < order, so no pair lands on a negative exponent.
 
-A BilinearForm is a weighted list of such operators applied to tau.tau; its
-residual is the exact polynomial whose vanishing says tau solves the
-corresponding bilinear PDE.  Every form has even total order, so the pair
-coefficient is symmetric and the residual sums unordered pairs of tau terms,
-doubling the off-diagonal ones.  The classical shift-variable definition
-(expand f(x+h1, y+h2) g(x-h1, y-h2) in powers of h) is reserved for the
-test-suite oracle.
+Before the pass, each axis coefficient a call needs is laid out in rows:
+per order and per exponent of f on that axis, one list over the distinct
+exponents of g there, so a pair reads its two coefficients by position.
+The rows span only exponents that occur, so a sparse tau of high degree
+costs no more than a dense one with as many terms.  They are filled from a
+process-wide ``lru_cache`` on ``hirota_axis_coeff``: residuals of different
+polynomials in one process ask for the same (order, u, v) again and again.
+
+A BilinearForm is a weighted list of such operators.  Its ``pairing(f, g)``
+applies them to f.g; its residual applies them to tau.tau, the exact
+polynomial whose vanishing says tau solves the corresponding bilinear PDE.
+Every form has even total order, so the pair coefficient is symmetric: the
+residual sums unordered pairs of tau terms, doubling the off-diagonal ones,
+and residual(f + g) = residual(f) + 2 pairing(f, g) + residual(g).  The
+classical shift-variable definition (expand f(x+h1, y+h2) g(x-h1, y-h2) in
+powers of h) is reserved for the test-suite oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 from typing import Sequence, Tuple
 
@@ -39,34 +49,42 @@ def _bilinear(terms, f: ExactPoly, g: ExactPoly, symmetric: bool) -> ExactPoly:
     One pass over term pairs: pair (i1, j1).(i2, j2) adds
     A(a, i1, i2) A(b, j1, j2) c1 c2 to monomial (i1+i2-a, j1+j2-b) of the
     accumulator of each order; the weights are applied once at the end.
-    ``symmetric`` (g is f, every order of even total) visits each unordered
-    pair once and doubles the off-diagonal ones.
+    The axis coefficients are read from rows: for each order and each
+    exponent of f on that axis, the list of A(order, exponent, e) over the
+    distinct exponents e of g on the same axis, so a pair costs two list
+    indexings per order.  ``symmetric`` (g is f, every order of even total)
+    visits each unordered pair once and doubles the off-diagonal ones.
     """
     den_f, fs = _scaled(f._terms.values())
     den_g, gs = (den_f, fs) if symmetric else _scaled(g._terms.values())
-    fs = list(zip(f._terms, fs))
-    gs = fs if symmetric else list(zip(g._terms, gs))
-    axis: dict = {}  # (order, u, v) -> A(order, u, v), memoised for this call
-
-    def coeff(order, u, v):
-        key = (order, u, v)
-        c = axis.get(key)
-        if c is None:
-            c = axis[key] = hirota_axis_coeff(order, u, v)
-        return c
+    # position of each distinct exponent of g on each axis
+    px, py = {}, {}
+    for i, j in g._terms:
+        px.setdefault(i, len(px))
+        py.setdefault(j, len(py))
+    gs = [(px[i], py[j], i, j, r, m) for (i, j), (r, m) in zip(g._terms, gs)]
+    fs = ([(i, j, r, m) for _, _, i, j, r, m in gs] if symmetric else
+          [(i, j, r, m) for (i, j), (r, m) in zip(f._terms, fs)])
+    axis = hirota_axis_coeff
+    xrows = {a: {u: [axis(a, u, v) for v in px] for u, _ in f._terms}
+             for _, a, _ in terms}
+    yrows = {b: {u: [axis(b, u, v) for v in py] for _, u in f._terms}
+             for _, _, b in terms}
 
     accs = [({}, {}) for _ in terms]
-    for n, ((i1, j1), (r1, m1)) in enumerate(fs):
-        for (i2, j2), (r2, m2) in (gs[n:] if symmetric else gs):
+    for n, (i1, j1, r1, m1) in enumerate(fs):
+        ops = [(xrows[a][i1], yrows[b][j1], a, b, acc_re, acc_im)
+               for (_, a, b), (acc_re, acc_im) in zip(terms, accs)]
+        for pi, pj, i2, j2, r2, m2 in (gs[n:] if symmetric else gs):
             pr = r1 * r2 - m1 * m2
             pm = r1 * m2 + m1 * r2
-            if symmetric and (i2, j2) != (i1, j1):
+            if symmetric and (i2 != i1 or j2 != j1):
                 pr, pm = 2 * pr, 2 * pm
             si, sj = i1 + i2, j1 + j2
-            for (_, a, b), (acc_re, acc_im) in zip(terms, accs):
-                k = coeff(a, i1, i2)
+            for xrow, yrow, a, b, acc_re, acc_im in ops:
+                k = xrow[pi]
                 if k:
-                    k *= coeff(b, j1, j2)
+                    k *= yrow[pj]
                 if k:
                     key = (si - a, sj - b)
                     acc_re[key] = acc_re.get(key, 0) + k * pr
@@ -100,14 +118,30 @@ def falling(a: int, s: int) -> int:
     return out
 
 
+@lru_cache(maxsize=1 << 16)  # one exact-verify run fills under a thousand
 def hirota_axis_coeff(order: int, a: int, c: int) -> int:
     """Coefficient of the single-axis Hirota action on a monomial pair.
 
     D^order applied to (v^a).(v^c) is this integer times v^{a+c-order};
     the integer is sum_r (-1)^r C(order, r) falling(a, order-r) falling(c, r).
+    A nonnegative exponent bounds the sum, since falling(a, s) = 0 for
+    s > a >= 0; so the coefficient is 0 when a, c >= 0 and a + c < order.
+    The falling factorials and binomials advance incrementally with r.
     """
-    return sum((-1) ** r * comb(order, r) * falling(a, order - r) * falling(c, r)
-               for r in range(order + 1))
+    lo = max(order - a, 0) if a >= 0 else 0
+    hi = min(c, order) if c >= 0 else order
+    if lo > hi:
+        return 0
+    fa = [1]  # fa[s] = falling(a, s)
+    for t in range(order - lo):
+        fa.append(fa[-1] * (a - t))
+    total, fc, binom = 0, falling(c, lo), comb(order, lo)
+    for r in range(lo, hi + 1):
+        term = binom * fa[order - r] * fc
+        total += -term if r & 1 else term
+        fc *= c - r
+        binom = binom * (order - r) // (r + 1)
+    return total
 
 
 def hirota_monomial_zz(a: int, b: int, c: int, d: int, p: int, q: int) -> Fraction:
@@ -155,12 +189,22 @@ class BilinearForm:
             normalized.append((wq, int(a), int(b)))
         object.__setattr__(self, "terms", tuple(normalized))
 
+    def _require_basis(self, *polys: ExactPoly) -> None:
+        for p in polys:
+            if p.basis is not self.basis:
+                p._require_same_basis(
+                    ExactPoly.zero(self.basis), "evaluate a bilinear form on")
+
     def residual(self, tau: ExactPoly) -> ExactPoly:
         """sum w_k D1^{a_k} D2^{b_k} tau.tau; empty means tau solves the form."""
-        if tau.basis is not self.basis:
-            tau._require_same_basis(
-                ExactPoly.zero(self.basis), "evaluate a bilinear form on")
+        self._require_basis(tau)
         return _bilinear(self.terms, tau, tau, symmetric=True)
+
+    def pairing(self, f: ExactPoly, g: ExactPoly) -> ExactPoly:
+        """sum w_k D1^{a_k} D2^{b_k} f.g; symmetric in f and g, and
+        residual(f + g) = residual(f) + 2 pairing(f, g) + residual(g)."""
+        self._require_basis(f, g)
+        return _bilinear(self.terms, f, g, symmetric=False)
 
 
 def _form(name: str, *terms) -> BilinearForm:

@@ -107,6 +107,14 @@ class TestVerify:
                               "--custom-form", custom)
         assert code == 0
 
+    def test_huge_custom_order(self, capsys):
+        # D1^(10^6) annihilates every pair of a degree-6 tau at once
+        code, report, _ = run(capsys, "verify", "--tau", "pelin6",
+                              "--custom-form", '[["1",1000000,0]]')
+        assert code == 0
+        assert report["results"]["residual_term_count"] == 0
+        assert report["results"]["residual_terms"] == []
+
     @pytest.mark.parametrize("custom", ["[]", "{}", '["140"]', '{"140": 1}'])
     def test_empty_or_shapeless_custom_form_exits_two(self, capsys, custom):
         # an empty form is solved by every tau
@@ -345,6 +353,7 @@ class TestEnergyAndDegree:
         (["--half-width", "nan"], "half_width must be finite and > 0"),
         (["--step", "inf"], "step must be finite and > 0"),
         (["--half-width", "1", "--step", "3"], "no grid cell"),
+        (["--half-width", "1e9", "--step", "0.1"], "exceeds 1000000 grid cells"),
     ])
     def test_energy_bad_window_is_usage_error(self, capsys, window, message):
         code, report, err = run(capsys, "energy", "--tau", "lump2-bnew",

@@ -3,8 +3,9 @@
 For every subcommand, ``lumps`` must exit 0, 1 or 2; nothing but argparse's
 SystemExit(2) may escape ``cli.main``; and stdout is exactly one strict-JSON
 report (no NaN or Infinity), or empty with exit 2.  Sizes stay cheap:
-``--max-n`` <= 20, ``--n`` <= 30 and energy windows of at most 20 cells per
-side.
+``--max-n`` <= 20, ``--n`` <= 30, energy windows of at most 20 cells per
+side (or far beyond the cap, which is refused) and a custom-form order of
+10^6, which is zero on every pair of a catalog tau.
 """
 
 import io
@@ -68,7 +69,7 @@ def grammar(command, paths):
         customs = ['[["1",4,0],["-1",2,0],["-1",0,2]]', '[["1",4,0]]', "[]",
                    "{}", '["140"]', '[["x",4,0]]', "[[1,1,0]]", "[[1,-2,0]]",
                    "[[0,2,0]]", "[[1,2]]", "not json", '[["1/0",2,0]]',
-                   "[[1,1e400,0]]", "[[NaN,2,0]]"]
+                   "[[1,1e400,0]]", "[[NaN,2,0]]", '[["1",1000000,0]]']
         params = st.lists(st.sampled_from(
             [f"a={r}" for r in RATIONALS] + [f"b={r}" for r in RATIONALS]
             + ["c=1", "a", "=1"]), max_size=3)
@@ -100,10 +101,13 @@ def grammar(command, paths):
                       option("--point", ["k1+", "k1-", "k2+", "k2-", "k9+", ""]),
                       option("--x", xs))
     if command == "energy":
-        # R / h <= 20 whenever both are valid; a valid R never meets a tiny h
-        half_widths = ["1", "2", "5", "10", "0", "-1", "nan", "inf", "x", "1e-300"]
+        # R / h <= 20 whenever both are valid; a valid R never meets a tiny
+        # h, and R = 1e9 is refused before any node is allocated
+        half_widths = ["1", "2", "5", "10", "0", "-1", "nan", "inf", "x",
+                       "1e-300", "1e9"]
         steps = ["0.5", "1", "2", "5", "0", "-1", "nan", "inf", "x"]
-        window = st.tuples(st.sampled_from(half_widths), st.sampled_from(steps))
+        window = (st.tuples(st.sampled_from(half_widths), st.sampled_from(steps))
+                  | st.just(("1e9", "0.1")))
         return concat(st.just(["energy"]), option("--tau", taus),
                       window.map(lambda w: [f"--half-width={w[0]}", f"--step={w[1]}"]),
                       option("--ratio-to", ["lump2-bnew", "lump2", "nope"]))

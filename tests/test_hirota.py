@@ -16,7 +16,7 @@ from lumps.hirota import (
     hirota_monomial_zz)
 from lumps.polyring import Basis, BasisMismatchError, ExactPoly, QQi, \
     poly_xy, poly_zz
-from oracles import hirota_oracle
+from oracles import _axis, hirota_oracle
 
 
 class TestHirotaD:
@@ -49,6 +49,18 @@ class TestHirotaD:
     def test_negative_order(self):
         with pytest.raises(ValueError):
             hirota_d(-1, 0, poly_xy({}), poly_xy({}))
+
+
+#: four (re, im) weights with nonzero imaginary parts, for ``complex_form``
+complex_weights = st.lists(st.tuples(wide_rationals, wide_rationals.filter(bool)),
+                           min_size=4, max_size=4)
+
+
+def complex_form(basis, weights):
+    """Four orders of even total, one complex weight (re, im) each."""
+    orders = ((4, 0), (1, 1), (0, 2), (3, 1))
+    return BilinearForm("complex", tuple(
+        (QQi(re, im), a, b) for (re, im), (a, b) in zip(weights, orders)), basis)
 
 
 class TestOracleAgreement:
@@ -96,19 +108,13 @@ class TestKernelAgainstOracle:
 
     @settings(max_examples=30, deadline=None)
     @given(wide_polys(max_degree=4, max_terms=4),
-           st.lists(st.tuples(wide_rationals, wide_rationals.filter(bool)),
-                    min_size=4, max_size=4),
-           st.sampled_from(list(Basis)))
+           complex_weights, st.sampled_from(list(Basis)))
     def test_custom_form_complex_weights(self, tau, weights, basis):
         tau = ExactPoly(tau.terms, basis)
-        orders = ((4, 0), (1, 1), (0, 2), (3, 1))
-        form = BilinearForm(
-            "complex", tuple((QQi(re, im), a, b)
-                             for (re, im), (a, b) in zip(weights, orders)),
-            basis)
+        form = complex_form(basis, weights)
         expected = ExactPoly.zero(basis)
-        for (re, im), (a, b) in zip(weights, orders):
-            expected = expected + hirota_oracle(a, b, tau, tau).scale(QQi(re, im))
+        for w, a, b in form.terms:
+            expected = expected + hirota_oracle(a, b, tau, tau).scale(w)
         assert form.residual(tau) == expected
 
 
@@ -190,6 +196,21 @@ class TestMonomialClosedForm:
             assert type(c) is int
             assert c == hirota_axis_coeff(4, b, d), (b, d)
 
+    def test_axis_coeff_matches_oracle_sum(self):
+        # the bounded, incremental sum against the plain one, negative
+        # exponents (the formal chains) included
+        for order in range(9):
+            for a in range(-6, 31):
+                for c in range(-6, 31):
+                    assert hirota_axis_coeff(order, a, c) == _axis(order, a, c), \
+                        (order, a, c)
+
+    def test_axis_coeff_vanishes_below_the_order(self):
+        # a, c >= 0 with a + c < order: zero without summing 10^6 terms
+        assert hirota_axis_coeff(10**6, 3, 4) == 0
+        assert hirota_axis_coeff(10**6, 0, 0) == 0
+        assert hirota_axis_coeff(7, 3, 4) == _axis(7, 3, 4) != 0
+
     def test_axis_coeff_symmetry(self):
         for a in range(-3, 6):
             for c in range(-3, 6):
@@ -250,3 +271,38 @@ class TestBilinearForm:
         for _ in range(5):
             tau = random_poly(rng, max_degree=4)
             assert EVEN_SECTION.residual(tau) == -STANDARD.residual(tau)
+
+
+class TestPairing:
+    """B(f, g) = sum w_k D1^{a_k} D2^{b_k} f.g of two different polynomials."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(wide_polys(max_degree=4, max_terms=4),
+           wide_polys(max_degree=4, max_terms=4),
+           complex_weights, st.sampled_from(list(Basis)))
+    def test_identities(self, f, g, weights, basis):
+        f, g = ExactPoly(f.terms, basis), ExactPoly(g.terms, basis)
+        form = complex_form(basis, weights)
+        pair = form.pairing(f, g)
+        assert form.pairing(f, f) == form.residual(f)
+        assert pair == form.pairing(g, f)
+        assert form.residual(f + g) == \
+            form.residual(f) + pair.scale(2) + form.residual(g)
+
+    @settings(max_examples=30, deadline=None)
+    @given(wide_polys(max_degree=3, max_terms=3),
+           wide_polys(max_degree=3, max_terms=3),
+           complex_weights, st.sampled_from(list(Basis)))
+    def test_against_oracle(self, f, g, weights, basis):
+        f, g = ExactPoly(f.terms, basis), ExactPoly(g.terms, basis)
+        form = complex_form(basis, weights)
+        expected = ExactPoly.zero(basis)
+        for w, a, b in form.terms:
+            expected = expected + hirota_oracle(a, b, f, g).scale(w)
+        assert form.pairing(f, g) == expected
+
+    def test_basis_mismatch(self):
+        xy, zz = poly_xy({(1, 0): 1}), poly_zz({(1, 0): 1})
+        for f, g in ((xy, zz), (zz, xy), (zz, zz)):
+            with pytest.raises(BasisMismatchError):
+                STANDARD.pairing(f, g)
