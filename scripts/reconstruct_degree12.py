@@ -27,23 +27,14 @@ def corrected_candidates(printed_zz, R0):
     order, so with E the symmetric slot monomial the residual of tau0 + eps E
     is R0 + 2 eps B(tau0, E) + eps^2 R(E), B the form's pairing.
     """
-    base_terms = printed_zz.terms
     tau0 = printed_zz.to_xy()
-    slots = sorted({(a, b) for (a, b) in base_terms if a >= b},
+    slots = sorted({(a, b) for (a, b) in printed_zz.terms if a >= b},
                    key=lambda k: (-(k[0] + k[1]), -k[0]))
-
-    def tau_with(slot, eps):
-        t = dict(base_terms)
-        a, b = slot
-        t[(a, b)] = t.get((a, b), 0) + eps
-        if a != b:
-            t[(b, a)] = t.get((b, a), 0) + eps
-        return poly_zz(t).to_xy()
 
     found = []
     for slot in slots:
         a, b = slot
-        E = poly_zz({(a, b): 1, (b, a): 1} if a != b else {(a, b): 1}).to_xy()
+        E = poly_zz({(a, b): 1, (b, a): 1}).to_xy()
         quad = STANDARD.residual(E)
         lin = STANDARD.pairing(tau0, E).scale(2)
         key = next(iter(sorted(lin.terms)), None)
@@ -63,7 +54,7 @@ def corrected_candidates(printed_zz, R0):
                     s = Fraction(rn, rd)
                     roots = [(-l + s) / (2 * q), (-l - s) / (2 * q)]
         for eps in roots:
-            if eps != 0 and STANDARD.residual(tau_with(slot, eps)).is_zero():
+            if eps != 0 and STANDARD.residual(tau0 + E.scale(eps)).is_zero():
                 found.append((slot, eps))
     return found
 

@@ -15,8 +15,9 @@ integer, and the result is divided back once.  A(order, u, v) = 0 whenever
 u, v >= 0 and u + v < order, so no pair lands on a negative exponent.
 
 Before the pass, each axis coefficient a call needs is laid out in rows:
-per order and per exponent of f on that axis, one list over the distinct
-exponents of g there, so a pair reads its two coefficients by position.
+per distinct order and distinct exponent of f on that axis, one list over
+the distinct exponents of g there, so a pair reads its two coefficients by
+position (order-0 rows are all ones).
 The rows span only exponents that occur, so a sparse tau of high degree
 costs no more than a dense one with as many terms.  They are filled from a
 process-wide ``lru_cache`` on ``hirota_axis_coeff``: residuals of different
@@ -49,9 +50,9 @@ def _bilinear(terms, f: ExactPoly, g: ExactPoly, symmetric: bool) -> ExactPoly:
     One pass over term pairs: pair (i1, j1).(i2, j2) adds
     A(a, i1, i2) A(b, j1, j2) c1 c2 to monomial (i1+i2-a, j1+j2-b) of the
     accumulator of each order; the weights are applied once at the end.
-    The axis coefficients are read from rows: for each order and each
-    exponent of f on that axis, the list of A(order, exponent, e) over the
-    distinct exponents e of g on the same axis, so a pair costs two list
+    The axis coefficients are read from rows: for each distinct order and
+    distinct exponent u of f on that axis, the list of A(order, u, v) over
+    the distinct exponents v of g on the same axis, so a pair costs two list
     indexings per order.  ``symmetric`` (g is f, every order of even total)
     visits each unordered pair once and doubles the off-diagonal ones.
     """
@@ -65,11 +66,18 @@ def _bilinear(terms, f: ExactPoly, g: ExactPoly, symmetric: bool) -> ExactPoly:
     gs = [(px[i], py[j], i, j, r, m) for (i, j), (r, m) in zip(g._terms, gs)]
     fs = ([(i, j, r, m) for _, _, i, j, r, m in gs] if symmetric else
           [(i, j, r, m) for (i, j), (r, m) in zip(f._terms, fs)])
+    # the distinct exponents of f on each axis, and the distinct orders
+    fx, fy = (px, py) if symmetric else (
+        dict.fromkeys(i for i, _ in f._terms),
+        dict.fromkeys(j for _, j in f._terms))
     axis = hirota_axis_coeff
-    xrows = {a: {u: [axis(a, u, v) for v in px] for u, _ in f._terms}
-             for _, a, _ in terms}
-    yrows = {b: {u: [axis(b, u, v) for v in py] for _, u in f._terms}
-             for _, _, b in terms}
+    # A(0, u, v) = 1
+    xrows = {a: {u: [axis(a, u, v) for v in px] if a else [1] * len(px)
+                 for u in fx}
+             for a in dict.fromkeys(a for _, a, _ in terms)}
+    yrows = {b: {u: [axis(b, u, v) for v in py] if b else [1] * len(py)
+                 for u in fy}
+             for b in dict.fromkeys(b for _, _, b in terms)}
 
     accs = [({}, {}) for _ in terms]
     for n, (i1, j1, r1, m1) in enumerate(fs):

@@ -56,11 +56,15 @@ complex_weights = st.lists(st.tuples(wide_rationals, wide_rationals.filter(bool)
                            min_size=4, max_size=4)
 
 
+#: the orders of ``complex_form``, all of even total
+COMPLEX_ORDERS = ((4, 0), (1, 1), (0, 2), (3, 1))
+
+
 def complex_form(basis, weights):
-    """Four orders of even total, one complex weight (re, im) each."""
-    orders = ((4, 0), (1, 1), (0, 2), (3, 1))
+    """The orders COMPLEX_ORDERS, one complex weight (re, im) each."""
     return BilinearForm("complex", tuple(
-        (QQi(re, im), a, b) for (re, im), (a, b) in zip(weights, orders)), basis)
+        (QQi(re, im), a, b)
+        for (re, im), (a, b) in zip(weights, COMPLEX_ORDERS)), basis)
 
 
 class TestOracleAgreement:
@@ -113,8 +117,8 @@ class TestKernelAgainstOracle:
         tau = ExactPoly(tau.terms, basis)
         form = complex_form(basis, weights)
         expected = ExactPoly.zero(basis)
-        for w, a, b in form.terms:
-            expected = expected + hirota_oracle(a, b, tau, tau).scale(w)
+        for (re, im), (a, b) in zip(weights, COMPLEX_ORDERS):
+            expected = expected + hirota_oracle(a, b, tau, tau).scale(QQi(re, im))
         assert form.residual(tau) == expected
 
 
@@ -297,8 +301,8 @@ class TestPairing:
         f, g = ExactPoly(f.terms, basis), ExactPoly(g.terms, basis)
         form = complex_form(basis, weights)
         expected = ExactPoly.zero(basis)
-        for w, a, b in form.terms:
-            expected = expected + hirota_oracle(a, b, f, g).scale(w)
+        for (re, im), (a, b) in zip(weights, COMPLEX_ORDERS):
+            expected = expected + hirota_oracle(a, b, f, g).scale(QQi(re, im))
         assert form.pairing(f, g) == expected
 
     def test_basis_mismatch(self):
