@@ -78,7 +78,10 @@ def _definitional(n: int, i: int, j: int, operator_orders, r_power: int) -> Frac
     terms = tuple((QQi.of(Fraction(w)), a, b) for w, a, b in operator_orders)
     acted = hirota._bilinear(terms, g_poly(n, i), g_poly(n, j), symmetric=False)
     quotient = acted.divide_exact(g_poly(r_power, 0))
-    value = quotient.substitute_squares(Fraction(-1), Fraction(1))
+    # g_i is even in x and in y, and so are the orders (2,0), (0,2) and (4,0),
+    # so every exponent of the quotient is even: at x^2 = -1, y^2 = 1 the
+    # term c x^a y^b is (-1)^(a/2) c
+    value = sum((-c if a % 4 else c for (a, _), c in quotient.terms.items()), QQi())
     if not value.is_real():
         raise ArithmeticError("definitional quotient produced a non-real value")
     return value.re

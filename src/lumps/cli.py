@@ -101,10 +101,12 @@ def _parse_params(pairs) -> Dict[str, Fraction]:
 
 
 def _load_record(spec: str):
-    """A catalog id, or a path to an interchange polynomial file in either basis."""
+    """A catalog id, or else a path to an interchange polynomial file in either
+    basis; a file named like an id is read as ./<id>."""
     path = Path(spec)
     try:
-        text = path.read_text() if path.suffix == ".json" or path.exists() else None
+        is_file = spec not in cat.catalog() and (path.suffix == ".json" or path.exists())
+        text = path.read_text() if is_file else None
     except FileNotFoundError:
         raise UsageError(f"polynomial file not found: {spec}") from None
     except (OSError, ValueError) as exc:  # a directory, a binary file, a bad name

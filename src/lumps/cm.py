@@ -7,10 +7,10 @@ space TM, and the CM flow direction are all evaluated numerically here;
 the constants (36, +3, 72) are pinned to that normalization, so callers
 rescale tau first (the catalog's "-bnew" records).
 
-Pole positions come from simultaneous (Aberth-style) root iteration on the
-x-polynomial tau(., y) with exact rational coefficients converted to
-complex doubles; companion-matrix eigenvalues are the fallback.  Velocities
-use implicit differentiation: beta = -tau_y / tau_x at each root.
+Pole positions are the companion-matrix eigenvalues (np.roots) of the
+x-polynomial tau(., y), its exact coefficients converted to doubles, each
+root held to ROOT_TOL.  Velocities use implicit differentiation:
+beta = -tau_y / tau_x at each root.
 """
 
 from __future__ import annotations
@@ -25,6 +25,12 @@ import numpy as np
 
 from .catalog import TauRecord
 from .polyring import ExactPoly
+
+
+#: bound on |p(z)| / (1 + |z|)^deg(p) at each root z of the monic pole polynomial p
+ROOT_TOL = 1e-10
+#: smallest pole gap accepted as distinct
+GAP_THRESHOLD = 1e-8
 
 
 class CoincidentPolesError(ValueError):
@@ -55,11 +61,11 @@ class PoleConfig:
         return min(abs(self.eta[j] - self.eta[k])
                    for j in range(n) for k in range(j + 1, n))
 
-    def require_distinct(self, threshold: float = 1e-8) -> None:
+    def require_distinct(self) -> None:
         gap = self.min_gap()
-        if gap < threshold:
+        if gap < GAP_THRESHOLD:
             raise CoincidentPolesError(
-                f"minimum pole gap {gap:.3e} below threshold {threshold:.1e}")
+                f"minimum pole gap {gap:.3e} below threshold {GAP_THRESHOLD:.1e}")
 
 
 @dataclass(frozen=True)
@@ -79,14 +85,13 @@ def _finite(*values: complex) -> bool:
     return all(cmath.isfinite(v) for v in values)
 
 
-def locus_residual(cfg: PoleConfig, gap_threshold: float = 1e-8
-                   ) -> Tuple[np.ndarray, np.ndarray]:
+def locus_residual(cfg: PoleConfig) -> Tuple[np.ndarray, np.ndarray]:
     """Per-pole residuals of the two locus identities.
 
     First:  sum_{k != j} (beta_j + beta_k) / (eta_j - eta_k)^3
     Second: beta_j^2 + sum_{k != j} 36 / (eta_j - eta_k)^2 + 3
     """
-    cfg.require_distinct(gap_threshold)
+    cfg.require_distinct()
     n = cfg.n
     first = np.zeros(n, dtype=complex)
     second = np.zeros(n, dtype=complex)
@@ -112,8 +117,7 @@ def locus_residual(cfg: PoleConfig, gap_threshold: float = 1e-8
     return first, second
 
 
-def tangent_residual(cfg: PoleConfig, vec: TangentVector,
-                     gap_threshold: float = 1e-8
+def tangent_residual(cfg: PoleConfig, vec: TangentVector
                      ) -> Tuple[np.ndarray, np.ndarray]:
     """Per-pole residuals of the tangent-space identities at cfg.
 
@@ -124,7 +128,7 @@ def tangent_residual(cfg: PoleConfig, vec: TangentVector,
     The base configuration is assumed to lie on the locus; that is the
     caller's responsibility and is not re-checked here.
     """
-    cfg.require_distinct(gap_threshold)
+    cfg.require_distinct()
     if len(vec.a) != cfg.n:
         raise ValueError("tangent vector length does not match configuration")
     n = cfg.n
@@ -151,9 +155,9 @@ def tangent_residual(cfg: PoleConfig, vec: TangentVector,
     return first, second
 
 
-def cm_rhs(cfg: PoleConfig, gap_threshold: float = 1e-8) -> TangentVector:
+def cm_rhs(cfg: PoleConfig) -> TangentVector:
     """The y-flow direction: a_j = beta_j, b_j = sum_{k != j} 72/(eta_j - eta_k)^3."""
-    cfg.require_distinct(gap_threshold)
+    cfg.require_distinct()
     b = []
     for j in range(cfg.n):
         s = 0j
@@ -183,82 +187,39 @@ def _x_coefficients(tau: ExactPoly, y: Fraction) -> list:
     return coeffs
 
 
-def _evaluate(c: np.ndarray, z: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """p(z) and |p(z)| / (1 + |z|)^n for p = sum c[k] x^k of degree n.
+def roots_exact_poly(coeffs: Sequence[Fraction]) -> np.ndarray:
+    """All complex roots of sum coeffs[k] x^k, as companion-matrix eigenvalues.
 
-    Past float range these are inf or nan, which callers test for; numpy's
-    overflow warnings are silenced here.
+    Raises RootFindingError when a coefficient of the monic polynomial
+    leaves float range, or when a root misses ROOT_TOL (a root past float
+    range does: its residual is nan).
     """
-    n = len(c) - 1
-    with np.errstate(over="ignore", invalid="ignore"):
-        p = np.polyval(c[::-1], z)
-        return p, np.abs(p) / (1.0 + np.abs(z)) ** n
-
-
-def _within(scaled: np.ndarray, tol: float) -> bool:
-    return bool(np.all(np.isfinite(scaled)) and np.all(scaled <= tol))
-
-
-def _aberth(coeffs: Sequence[complex], tol: float = 1e-12,
-            max_iter: int = 400) -> np.ndarray:
-    """Aberth-Ehrlich simultaneous iteration on a monic-normalized polynomial.
-
-    Raises RootFindingError with the reason when a polynomial value or a
-    step leaves float range, or when the iteration does not converge.
-    """
-    c = np.array(coeffs, dtype=complex)
-    c = c / c[-1]
-    n = len(c) - 1
-    dc = c[1:] * np.arange(1, n + 1)
-
-    # Cauchy-style radius with slight angular stagger to break symmetry
-    radius = 1.0 + max(abs(c[k]) for k in range(n))
-    angles = 2 * np.pi * (np.arange(n) + 0.376) / n
-    z = radius * np.exp(1j * angles) * (1 + 0.05 * np.cos(3 * angles))
-
-    for _ in range(max_iter):
-        p, scaled = _evaluate(c, z)
-        if not np.all(np.isfinite(scaled)):
-            raise RootFindingError("root iteration: polynomial value is not finite")
-        if np.all(scaled <= tol):
-            return z
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            newton = p / np.polyval(dc[::-1], z)
-            diff = z[:, None] - z[None, :]
-            np.fill_diagonal(diff, np.inf)
-            repulsion = np.sum(1.0 / diff, axis=1)
-            w = newton / (1.0 - newton * repulsion)
-        if not np.all(np.isfinite(w)):
-            raise RootFindingError("root iteration: step is not finite")
-        z = z - w
-    if _within(_evaluate(c, z)[1], tol * 100):
-        return z
-    raise RootFindingError(f"root iteration: no convergence in {max_iter} steps")
-
-
-def roots_exact_poly(coeffs: Sequence[Fraction], tol: float = 1e-12
-                     ) -> np.ndarray:
-    """All complex roots of sum coeffs[k] x^k, Aberth first then companion."""
     try:
-        cf = [complex(float(c), 0.0) for c in coeffs]
+        cf = [float(c) for c in coeffs]
     except OverflowError:
         raise RootFindingError("a polynomial coefficient does not fit a float") from None
-    while cf and abs(cf[-1]) == 0.0:
+    while cf and cf[-1] == 0.0:
         cf.pop()
     if len(cf) < 2:
         raise ValueError("polynomial must have positive degree")
-    try:
-        z = _aberth(cf, tol=tol)
-    except RootFindingError as exc:
-        z = np.roots(np.array(cf[::-1], dtype=complex))
-        if not _within(_evaluate(np.array(cf) / cf[-1], z)[1], tol * 1e3):
-            raise RootFindingError(
-                f"{exc}; companion fallback failed to reach tolerance") from None
+    n = len(cf) - 1
+    # past float range the values below are inf or nan, which is tested for;
+    # numpy's overflow warnings are silenced
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        monic = np.array(cf[::-1], dtype=complex) / cf[-1]
+        if not np.all(np.isfinite(monic)):
+            raise RootFindingError("a monic polynomial coefficient does not fit a float")
+        z = np.roots(monic)
+        scaled = np.abs(np.polyval(monic, z)) / (1.0 + np.abs(z)) ** n
+    worst = float(np.max(scaled))
+    if not worst <= ROOT_TOL:  # nan included
+        raise RootFindingError(
+            f"companion roots miss the scaled residual bound {ROOT_TOL:.0e}: "
+            f"worst {worst:.3e}")
     return np.sort_complex(z)
 
 
-def poles_from_tau(rec: TauRecord, y, gap_threshold: float = 1e-8,
-                   tol: float = 1e-12) -> PoleConfig:
+def poles_from_tau(rec: TauRecord, y) -> PoleConfig:
     """Pole positions and velocities of a catalog record at height y.
 
     The record must be in the (3/2) dxx log tau normalization (a "-bnew"
@@ -271,7 +232,7 @@ def poles_from_tau(rec: TauRecord, y, gap_threshold: float = 1e-8,
     tau = rec.tau()
     yq = Fraction(y)
     coeffs = _x_coefficients(tau, yq)
-    eta = roots_exact_poly(coeffs, tol=tol)
+    eta = roots_exact_poly(coeffs)
 
     tau_x = tau.diff(0, 1)
     tau_y = tau.diff(1, 1)
@@ -285,5 +246,5 @@ def poles_from_tau(rec: TauRecord, y, gap_threshold: float = 1e-8,
                 f"repeated root suspected at eta={root}: tau_x vanishes")
         beta.append(-ty / tx)
     cfg = PoleConfig(tuple(complex(e) for e in eta), tuple(beta))
-    cfg.require_distinct(gap_threshold)
+    cfg.require_distinct()
     return cfg

@@ -29,7 +29,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 
 def eigenvalues(k: complex) -> Tuple[complex, complex, complex]:
@@ -146,35 +146,6 @@ def phase_consistency(entry: PhaseEntry) -> bool:
 # ---------------------------------------------------------------------------
 # Phi entries and the removable-singularity probe
 
-_SERIES_CUTOFF = 0.25
-_SERIES_TERMS = 12
-
-
-def _cosh_sqrt(zeta: complex) -> complex:
-    """cosh(sqrt(zeta)) as an entire function of zeta."""
-    if abs(zeta) < _SERIES_CUTOFF:
-        term = 1.0 + 0j
-        total = term
-        for m in range(1, _SERIES_TERMS):
-            term *= zeta / ((2 * m - 1) * (2 * m))
-            total += term
-        return total
-    w = cmath.sqrt(zeta)
-    return cmath.cosh(w)
-
-
-def _sinhc_sqrt(zeta: complex) -> complex:
-    """sinh(sqrt(zeta))/sqrt(zeta) as an entire function of zeta."""
-    if abs(zeta) < _SERIES_CUTOFF:
-        term = 1.0 + 0j
-        total = term
-        for m in range(1, _SERIES_TERMS):
-            term *= zeta / ((2 * m) * (2 * m + 1))
-            total += term
-        return total
-    w = cmath.sqrt(zeta)
-    return cmath.sinh(w) / w
-
 
 def _phi_coefficients(k: complex) -> Tuple[Tuple[complex, ...], ...]:
     """Coefficients of (e^{-kxi/2} C, x e^{-kxi/2} S, e^{kix}) in Phi_12, Phi_22.
@@ -200,14 +171,15 @@ def phi_entries(k: complex, x: float) -> Tuple[complex, complex]:
       Phi_22 = ((2k^2+2)/(3k^2+2)) e^{-kxi/2} C + (ki/(3k^2+2)) x e^{-kxi/2} S
                + (k^2/(3k^2+2)) e^{kix}
 
-    where C = cosh(sqrt(zeta)) and S = sinh(sqrt(zeta))/sqrt(zeta); both are
-    entire in zeta, so the only candidate singularities are 3k^2+2 = 0 and
-    they are removable (probed numerically by removable_probe).
+    where C = cosh(w) and S = sinh(w)/w with w = sqrt(zeta), and S = 1 at
+    w = 0.  Both are even in w, so entire in zeta and free of the branch of
+    the root; the only candidate singularities are 3k^2+2 = 0 and they are
+    removable (probed numerically by removable_probe).
     """
     (a12, b12, c12), (a22, b22, c22) = _phi_coefficients(k)
-    zeta = (x * x / 4.0) * (3 * k * k + 8)
-    C = _cosh_sqrt(zeta)
-    S = _sinhc_sqrt(zeta)
+    w = cmath.sqrt((x * x / 4.0) * (3 * k * k + 8))
+    C = cmath.cosh(w)
+    S = cmath.sinh(w) / w if w else 1.0
     half = cmath.exp(-k * x * 1j / 2)
     full = cmath.exp(k * x * 1j)
     phi12 = a12 * half * C + b12 * x * half * S + c12 * full
@@ -245,29 +217,28 @@ def probe_log_bound(point: str, x: float) -> float:
     return max(bounds)
 
 
-def removable_probe(point: str, x: float,
-                    epsilons: Sequence[float] = PROBE_EPSILONS
-                    ) -> dict:
+def removable_probe(point: str, x: float) -> dict:
     """Approach a distinguished point radially; report values and Cauchy gaps.
 
-    The sequence k = k* (1 + eps) converges, with successive differences
+    The sequence k = k* (1 + eps), eps in PROBE_EPSILONS (the offsets that
+    probe_log_bound bounds), converges, with successive differences
     shrinking proportionally to eps, exactly when the singularity is
     removable.
     """
     kstar = point_value(point)
     values12 = []
     values22 = []
-    for eps in epsilons:
+    for eps in PROBE_EPSILONS:
         k = kstar * (1 + eps)
         p12, p22 = phi_entries(k, x)
         values12.append(p12)
         values22.append(p22)
-    gaps12 = [abs(values12[i + 1] - values12[i]) for i in range(len(epsilons) - 1)]
-    gaps22 = [abs(values22[i + 1] - values22[i]) for i in range(len(epsilons) - 1)]
+    gaps12 = [abs(b - a) for a, b in zip(values12, values12[1:])]
+    gaps22 = [abs(b - a) for a, b in zip(values22, values22[1:])]
     return {
         "point": point,
         "x": x,
-        "epsilons": list(epsilons),
+        "epsilons": list(PROBE_EPSILONS),
         "phi12": values12,
         "phi22": values22,
         "phi12_gaps": gaps12,

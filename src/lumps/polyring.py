@@ -319,33 +319,6 @@ class ExactPoly:
             total += complex(c) * (a ** i) * (b ** j)
         return total
 
-    def substitute_squares(self, x2: "QQi | Rat", y2: "QQi | Rat") -> QQi:
-        """Value after replacing x^2 and y^2 by the given scalars.
-
-        Only defined for polynomials whose every monomial has even degree in
-        both variables; an odd exponent is an error, not a convention.
-        """
-        if self.basis is not Basis.XY:
-            raise BasisMismatchError("substitute_squares expects an (x,y)-polynomial")
-        for (i, j) in self._terms:
-            if i % 2 or j % 2:
-                raise ValueError(
-                    f"substitute_squares: term x^{i} y^{j} has an odd exponent")
-        # with x2 = X/dx and y2 = Y/dy, term c x^2a y^2b is the Gaussian
-        # integer c X^a dx^(A-a) Y^b dy^(B-b) over D dx^A dy^B
-        den_c, scaled = _scaled(self._terms.values())
-        (dx, (x,)), (dy, (y,)) = _scaled((QQi.of(x2),)), _scaled((QQi.of(y2),))
-        a_max, b_max = self.degree_in(0) // 2, self.degree_in(1) // 2
-        pow_x, pow_y = _powers_over(x, dx, a_max), _powers_over(y, dy, b_max)
-        re = im = 0
-        for (i, j), (cr, cm) in zip(self._terms, scaled):
-            (xr, xm), (yr, ym) = pow_x[i // 2], pow_y[j // 2]
-            pr, pm = xr * yr - xm * ym, xr * ym + xm * yr
-            re += cr * pr - cm * pm
-            im += cr * pm + cm * pr
-        den = den_c * dx ** a_max * dy ** b_max
-        return QQi(Fraction(re, den), Fraction(im, den))
-
     # -- exact division -----------------------------------------------
 
     def divide_exact(self, divisor: "ExactPoly") -> "ExactPoly":
@@ -529,16 +502,6 @@ def _from_scaled(re: dict, im: dict, den: int, basis: Basis) -> ExactPoly:
         if r or m:
             out[key] = QQi(Fraction(r, den), Fraction(m, den))
     return ExactPoly(out, basis)
-
-
-def _powers_over(base: tuple, den: int, n: int) -> list:
-    """[base^k den^(n-k) for k = 0..n], base a Gaussian integer (re, im)."""
-    br, bm = base
-    out = [(1, 0)]
-    for _ in range(n):
-        r, m = out[-1]
-        out.append((r * br - m * bm, r * bm + m * br))
-    return [(r * den ** (n - k), m * den ** (n - k)) for k, (r, m) in enumerate(out)]
 
 
 # -- convenience builders used throughout the test-suite and catalog ----

@@ -18,9 +18,6 @@ The substitution oracle converts between the (x, y) and (z, zbar) bases by
 the explicit binomial expansion of each monomial, on (re, im) pairs of plain
 Fractions: no power tables, no common denominators, no QQi arithmetic.
 
-The squares oracle evaluates x^2 -> x2, y^2 -> y2 term by term with
-repeated QQi multiplication.
-
 The evaluation oracle multiplies out each term at exact values of the two
 variables, one QQi product per factor.
 
@@ -168,19 +165,6 @@ def division_oracle(f: ExactPoly, g: ExactPoly) -> tuple:
                 rem[key] = s
         rem.pop(lead_r, None)
     return ExactPoly(quot, f.basis), ExactPoly(stuck, f.basis)
-
-
-def squares_oracle(poly: ExactPoly, x2: QQi, y2: QQi) -> QQi:
-    """sum c x2^(i/2) y2^(j/2) over the terms c x^i y^j, by repeated QQi
-    multiplication."""
-    total = QQi()
-    for (i, j), c in poly.terms.items():
-        for _ in range(i // 2):
-            c = c * x2
-        for _ in range(j // 2):
-            c = c * y2
-        total = total + c
-    return total
 
 
 def energy_oracle(tau: ExactPoly, half_width: float, step: float) -> float:

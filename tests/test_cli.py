@@ -100,6 +100,22 @@ class TestVerify:
             assert report is None
             assert "cannot read polynomial file" in err
 
+    def test_catalog_id_wins_over_working_directory(self, capsys, tmp_path,
+                                                     monkeypatch):
+        # x^2 + y^2 + 1 is not a solution, so reading the file would fail
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "pelin6").mkdir()
+        not_lump = poly_xy({(2, 0): 1, (0, 2): 1, (0, 0): 1})
+        (tmp_path / "lump2").write_text(not_lump.dumps())
+        for tau in ("pelin6", "lump2"):
+            code, report, _ = run(capsys, "verify", "--tau", tau)
+            assert code == 0
+            assert report["results"]["id"] == tau
+            assert report["results"]["is_solution"] is True
+        code, report, _ = run(capsys, "verify", "--tau", "./lump2")
+        assert code == 1
+        assert report["results"]["is_solution"] is False
+
     def test_custom_form(self, capsys):
         custom = json.dumps([["1", 4, 0], ["-3", 2, 0], ["-3", 0, 2]])
         code, report, _ = run(capsys, "verify", "--tau", "yang6",
@@ -343,6 +359,21 @@ class TestEnergyAndDegree:
 
     def test_energy_wrong_record_exits_two(self, capsys):
         code, _, err = run(capsys, "energy", "--tau", "lump2")
+        assert code == 2
+        assert "normalization" in err
+
+    def test_energy_catalog_id_wins_over_working_directory(self, capsys, tmp_path,
+                                                            monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "pelin6-bnew").mkdir()
+        (tmp_path / "lump2-bnew").write_text(poly_xy({(2, 0): 1, (0, 2): 1}).dumps())
+        code, report, _ = run(capsys, "energy", "--tau", "pelin6-bnew",
+                              "--half-width", "40", "--step", "0.2",
+                              "--ratio-to", "lump2-bnew")
+        assert code == 0
+        assert abs(report["results"]["ratio"] - 3.0) < 0.2
+        # a path reads the file, which lacks the (3/2) normalization
+        code, _, err = run(capsys, "energy", "--tau", "./lump2-bnew")
         assert code == 2
         assert "normalization" in err
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,14 @@ from lumps.catalog import catalog
 CAT = catalog()
 SQRT3 = math.sqrt(3.0)
 SQRT6 = math.sqrt(6.0)
+
+
+#: p/q with q <= 8 and |p/q| <= 8, as the benchmark draws them, then 20 and 50
+LOCUS_HEIGHTS = [Fraction(v) for v in (
+    "-8", "-61/8", "-7", "-47/7", "-13/2", "-6", "-28/5", "-16/3", "-5", "-9/2",
+    "-4", "-7/3", "-3", "-5/2", "-3/2", "-1", "-5/8", "-1/3", "-1/7", "1/8",
+    "1/6", "2/5", "3/4", "4/3", "11/4", "17/5", "23/6", "37/7", "43/8", "13/2",
+    "8", "20", "50")]
 
 
 def max_abs(*arrays):
@@ -153,7 +162,7 @@ class TestPolesFromTau:
     @pytest.mark.parametrize("rid", ["lump2-bnew", "pelin6-bnew",
                                      "pelin12-corrected-bnew"])
     @pytest.mark.parametrize("y", [Fraction(0), Fraction(1, 2), Fraction(1),
-                                   Fraction(2)])
+                                   Fraction(2)] + LOCUS_HEIGHTS)
     def test_catalog_configs_on_locus(self, rid, y):
         cfg = cm.poles_from_tau(CAT[rid], y)
         r1, r2 = cm.locus_residual(cfg)
@@ -180,6 +189,13 @@ class TestRootUtilities:
     def test_roots_of_quadratic(self):
         roots = cm.roots_exact_poly([Fraction(3), Fraction(0), Fraction(1)])
         assert sorted(r.imag for r in roots) == pytest.approx([-SQRT3, SQRT3])
+
+    def test_monic_overflow_raises_without_warning(self):
+        # 1e-300 x^2 + 1e300: the monic constant term 1e600 is past float range
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(cm.RootFindingError, match="does not fit a float"):
+                cm.roots_exact_poly([10**300, 0, Fraction(1, 10**300)])
 
     def test_degree_validation(self):
         with pytest.raises(ValueError):

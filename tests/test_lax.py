@@ -143,14 +143,6 @@ class TestPhiEntries:
         assert p12 == pytest.approx(0.0, abs=1e-14)
         assert p22 == pytest.approx(1.0, abs=1e-14)
 
-    def test_series_matches_closed_form_across_cutoff(self):
-        # entire-function evaluation is continuous across the series cutoff
-        for zeta in (0.249, 0.251, -0.249 + 0.001j, -0.251 + 0.001j):
-            w = cmath.sqrt(zeta)
-            assert lax._cosh_sqrt(zeta) == pytest.approx(cmath.cosh(w), rel=1e-13)
-            assert lax._sinhc_sqrt(zeta) == pytest.approx(
-                cmath.sinh(w) / w, rel=1e-13)
-
     def test_matrix_exponential_agreement(self):
         # Phi = E e^{Mx} E^{-1} computed densely on E = n P agrees with the closed forms
         k = 0.9 + 0.4j

@@ -11,8 +11,7 @@ from lumps.polyring import (
     Basis, BasisMismatchError, ExactDivisionError, ExactPoly, QQi,
     poly_xy, poly_zz, r_squared, x_plus_iy_power)
 from oracles import (
-    division_oracle, eval_oracle, product_oracle, squares_oracle,
-    substitute_oracle)
+    division_oracle, eval_oracle, product_oracle, substitute_oracle)
 
 
 class TestQQi:
@@ -238,24 +237,6 @@ class TestEvaluation:
             exact = eval_oracle(f, Fraction(1, 3), Fraction(-5, 7))
             approx = f.eval_complex(1 / 3, -5 / 7)
             assert abs(complex(exact) - approx) < 1e-9
-
-
-class TestSubstituteSquares:
-    def test_examples(self):
-        assert poly_xy({(2, 2): 1}).substitute_squares(-1, 1) == QQi(Fraction(-1))
-        assert (r_squared() ** 2).substitute_squares(-1, 1) == QQi()
-        assert poly_xy({(4, 0): 1, (0, 4): 1}).substitute_squares(-1, 1) == \
-            QQi(Fraction(2))
-
-    @settings(max_examples=60)
-    @given(wide_polys(max_degree=5), gaussian_rationals(), gaussian_rationals())
-    def test_matches_squares_oracle(self, f, x2, y2):
-        f = ExactPoly({(2 * i, 2 * j): c for (i, j), c in f.terms.items()})
-        assert f.substitute_squares(x2, y2) == squares_oracle(f, x2, y2)
-
-    def test_odd_exponent_rejected(self):
-        with pytest.raises(ValueError, match="odd exponent"):
-            poly_xy({(1, 2): 1}).substitute_squares(-1, 1)
 
 
 class TestInterchange:

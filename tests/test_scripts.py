@@ -2,19 +2,23 @@
 
 import importlib.util
 import io
+import sys
 from contextlib import redirect_stdout
 from pathlib import Path
+
+import pytest
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
-def run_script(name: str):
-    """(exit code of main(), stdout lines) of scripts/<name>.py."""
+def run_script(name: str, *args: str):
+    """(exit code of main(), stdout lines) of scripts/<name>.py run with args."""
     spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     out = io.StringIO()
-    with redirect_stdout(out):
+    with pytest.MonkeyPatch.context() as mp, redirect_stdout(out):
+        mp.setattr(sys, "argv", [f"{name}.py", *args])
         code = module.main()
     return code, out.getvalue().splitlines()
 
@@ -32,3 +36,24 @@ def test_reconstruct_degree12():
         "-35277550/3   (shift -150448375/3)",
         "matches the shipped pelin12-corrected record: True",
     ]
+
+
+def test_run_scan(tmp_path):
+    out = tmp_path / "scan.csv"
+    code, lines = run_script("run_scan", "--max-n", "30", "--out", str(out))
+    assert code == 0
+    assert lines[-1] == "zero sets equal the triangulars on both routes: True"
+    assert out.read_text().startswith("n,")
+
+
+def test_uniqueness_certificates():
+    code, lines = run_script("uniqueness_certificates", "--max-k", "5")
+    assert code == 0
+    assert lines[-1] == "unique even solution certified for all k <= 5: True"
+
+
+def test_energy_quantization():
+    code, lines = run_script("energy_quantization", "--half-width", "60",
+                             "--step", "0.1")
+    assert code == 0
+    assert lines[-1] == "all ratios within 5% of k(k+1)/2: True"
