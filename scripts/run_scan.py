@@ -2,7 +2,7 @@
 """Reproduce the full obstruction scan: J and sigma routes over n = 1..300.
 
 Writes the CSV table and prints the zero sets with the triangular-law
-verdict.  Exact arithmetic throughout; takes about 4 s at the default --max-n 300
+verdict.  Exact arithmetic throughout; takes about 2 s at the default --max-n 300
 (2 vCPUs, Python 3.11.7).
 """
 

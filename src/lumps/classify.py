@@ -21,6 +21,13 @@ symmetric chains the unknown appears twice, which is where the doubled
 left-hand constants come from.  The calibration anchors are the triangular
 zero set of J_n, the identity sigma_1 = (n - n^2)/2, and the seven printed
 gamma values at n = 15, all of which are pinned in the test-suite.
+
+The a/J and sigma summands are symmetric under i <-> j (d, C4 and the
+Dz Dzbar eigenfactor depend on (i - j)^2, and i + j is fixed in a step), so
+those sums visit each pair i <= j once: the ordered sum is 2 x the
+off-diagonal terms plus the diagonal one.  The beta sum pairs sigma with
+beta and is not symmetric; it runs over k once, with both of its terms at
+the same k under one factor sigma_k.
 """
 
 from __future__ import annotations
@@ -112,8 +119,9 @@ def _over_lcm(values: Sequence[Fraction]):
 def _push(chain: List[Fraction], nums: List[int], den: int, value: Fraction) -> int:
     """Append value to chain and to nums (numerators over den); return the new den."""
     new = math.lcm(den, value.denominator)
-    scale = new // den
-    nums[:] = [s * scale for s in nums]
+    if new != den:
+        scale = new // den
+        nums[:] = [s * scale for s in nums]
     nums.append(value.numerator * (new // value.denominator))
     chain.append(value)
     return new
@@ -129,14 +137,26 @@ def _dz_dzbar(q2: int, k: int, m: int) -> int:
 
 PairConvention = str  # "ordered" | "unordered"
 
+#: weight of an off-diagonal pair (i < j) under each convention; a diagonal
+#: pair (i, i) has weight 1 under both
+_OFF_DIAGONAL_WEIGHT = {"ordered": 2, "unordered": 1}
 
-def _pairs(total: int, convention: PairConvention):
-    """Index pairs (i, j) with i + j = total under the given convention."""
-    if convention == "ordered":
-        return [(i, total - i) for i in range(total + 1)]
-    if convention == "unordered":
-        return [(i, total - i) for i in range((total // 2) + 1)]
-    raise ValueError(f"unknown pair convention {convention!r}")
+
+def _off_diagonal_weight(convention: PairConvention) -> int:
+    try:
+        return _OFF_DIAGONAL_WEIGHT[convention]
+    except KeyError:
+        raise ValueError(f"unknown pair convention {convention!r}") from None
+
+
+def _pairs(total: int, off: int):
+    """(i, j, weight) for the pairs i <= j with i + j = total.
+
+    The weight is 1 on the diagonal and ``off`` elsewhere: 2 folds the
+    ordered pairs (i, j) and (j, i) into one term, 1 counts unordered pairs.
+    """
+    return [(i, total - i, off if 2 * i != total else 1)
+            for i in range(total // 2 + 1)]
 
 
 def a_seq(n: int, m_max: Optional[int] = None,
@@ -145,36 +165,35 @@ def a_seq(n: int, m_max: Optional[int] = None,
 
     Each a_m is the unique solution of the degree-(4n-4m) slice equation
     sum_{i+j=m-1} a_i a_j p(n, i, j) = sum_{i+j=m} a_i a_j d(i, j); the
-    unknown's coefficient is (multiplicity) * d(0, m), never zero for m >= 1.
+    unknown's coefficient is (multiplicity) * d(0, m), never zero for m >= 1,
+    where the multiplicity is the weight of the pair (0, m).
     """
+    off = _off_diagonal_weight(convention)
     if m_max is None:
         m_max = n // 3
     a, s, den = [Fraction(1)], [1], 1  # a[i] = s[i] / den
     for m in range(1, m_max + 1):
         total = 0  # over den**2
-        unknown_mult = 0
-        for (i, j) in _pairs(m, convention):
-            if m in (i, j):
-                # the pair {0, m} carries the unknown a_m (d is symmetric)
-                unknown_mult += 1
-            else:
-                total -= d_ij(i, j) * s[i] * s[j]
-        for (i, j) in _pairs(m - 1, convention):
-            total += p_ij(n, i, j) * s[i] * s[j]
-        den = _push(a, s, den, Fraction(total, unknown_mult * d_ij(0, m) * den * den))
+        for i, j, w in _pairs(m, off):
+            if i:  # the pair (0, m), of weight off, carries the unknown a_m
+                total -= w * d_ij(i, j) * s[i] * s[j]
+        for i, j, w in _pairs(m - 1, off):
+            total += w * p_ij(n, i, j) * s[i] * s[j]
+        den = _push(a, s, den, Fraction(total, off * d_ij(0, m) * den * den))
     return a
 
 
 def j_obstruction(n: int, convention: PairConvention = "ordered") -> Fraction:
     """J_n: the terminal slice mismatch with indices capped at floor(n/3)."""
+    off = _off_diagonal_weight(convention)
     cap = n // 3
     den, s = _over_lcm(a_seq(n, cap, convention))
     total = 0
-    for (i, j) in _pairs(cap + 1, convention):
-        if i <= cap and j <= cap:
-            total += d_ij(i, j) * s[i] * s[j]
-    for (i, j) in _pairs(cap, convention):
-        total -= p_ij(n, i, j) * s[i] * s[j]
+    for i, j, w in _pairs(cap + 1, off):
+        if j <= cap:
+            total += w * d_ij(i, j) * s[i] * s[j]
+    for i, j, w in _pairs(cap, off):
+        total -= w * p_ij(n, i, j) * s[i] * s[j]
     return Fraction(total, den * den)
 
 
@@ -192,7 +211,8 @@ def sigma_seq(n: int, j_max: Optional[int] = None) -> List[Fraction]:
 
     where C4 is the zbar-axis Dx^4 coefficient and E the Dz Dzbar eigenfactor
     (k-m)(3(m-k)); both sums are over ordered pairs and the coefficient of
-    the tracked monomial z^{2n+j-1} zbar^{2n-3j-1} is matched.
+    the tracked monomial z^{2n+j-1} zbar^{2n-3j-1} is matched.  Both summands
+    are symmetric in k and m, and E(k, k) = 0.
     """
     if j_max is None:
         j_max = n // 3 + 1
@@ -200,12 +220,11 @@ def sigma_seq(n: int, j_max: Optional[int] = None) -> List[Fraction]:
     sig, s, den = [Fraction(1)], [1], 1  # sig[i] = s[i] / den
     for j in range(1, j_max + 1):
         total = 0  # over den**2
-        for k in range(j):
-            m = j - 1 - k
-            total += c4(n - 3 * k, n - 3 * m) * s[k] * s[m]
-        for k in range(1, j):
+        for k, m, w in _pairs(j - 1, 2):  # ordered: off-diagonal weight 2
+            total += w * c4(n - 3 * k, n - 3 * m) * s[k] * s[m]
+        for k in range(1, (j + 1) // 2):
             m = j - k
-            total -= 4 * _dz_dzbar(0, k, m) * s[k] * s[m]
+            total -= 8 * _dz_dzbar(0, k, m) * s[k] * s[m]
         den = _push(sig, s, den, Fraction(total, 8 * _dz_dzbar(0, 0, j) * den * den))
     return sig
 
@@ -238,13 +257,12 @@ def beta_seq(n: int, q: int, sigma: Optional[Sequence[Fraction]] = None
     c4 = hirota.hirota_dx4_zz_coeff
     beta, b, den = [Fraction(1)], [1], 1  # beta[i] = b[i] / den
     for j in range(1, jbar + 1):
-        total = 0  # over den_s * den
-        for k in range(j):
-            m = j - 1 - k
-            total += c4(n - 3 * k, n - 2 * q - 3 * m) * s[k] * b[m]
+        # k = 0 has no E term (the sum starts at k = 1); s[0] = den_s
+        total = s[0] * c4(n, n - 2 * q - 3 * (j - 1)) * b[j - 1]  # over den_s * den
         for k in range(1, j):
-            m = j - k
-            total -= 4 * _dz_dzbar(2 * q, k, m) * s[k] * b[m]
+            m = j - 1 - k
+            total += s[k] * (c4(n - 3 * k, n - 2 * q - 3 * m) * b[m]
+                             - 4 * _dz_dzbar(2 * q, k, m + 1) * b[m + 1])
         eigen = 4 * _dz_dzbar(2 * q, 0, j)  # -4 j (2q + 3j)
         den = _push(beta, b, den, Fraction(total, eigen * den_s * den))
     return beta

@@ -301,13 +301,13 @@ def cmd_lax_probe(args) -> int:
             f"reach e^{log_bound:.6g}, past the float maximum "
             f"e^{math.log(sys.float_info.max):.6g}")
     probe = lax.removable_probe(args.point, args.x)
-    cauchy = all(b < a for a, b in zip(probe["phi12_gaps"], probe["phi12_gaps"][1:]))
-    cauchy = cauchy and all(
-        b < a for a, b in zip(probe["phi22_gaps"], probe["phi22_gaps"][1:]))
+    floor = lax.ROUNDING_FLOOR_FACTOR * sys.float_info.epsilon * math.exp(log_bound)
+    cauchy = (lax.gaps_decreasing(probe["phi12_gaps"], floor)
+              and lax.gaps_decreasing(probe["phi22_gaps"], floor))
     report = RunReport(
         command="lax-probe",
         inputs={"point": args.point, "x": args.x},
-        results={**probe, "cauchy_decreasing": cauchy},
+        results={**probe, "rounding_floor": floor, "cauchy_decreasing": cauchy},
         timing_seconds=time.perf_counter() - t0,
         exact=False,
     )

@@ -29,7 +29,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
 
 def eigenvalues(k: complex) -> Tuple[complex, complex, complex]:
@@ -189,6 +189,17 @@ def phi_entries(k: complex, x: float) -> Tuple[complex, complex]:
 
 #: radial offsets of removable_probe, k = k* (1 + eps)
 PROBE_EPSILONS = (1e-2, 1e-3, 1e-4)
+
+#: c of the probe's rounding floor c * eps_float * e^bound: every entry and
+#: gap is below e^bound (probe_log_bound), so a gap at or below the floor is
+#: rounding noise, as at small |x| where Phi is nearly the identity
+ROUNDING_FLOOR_FACTOR = 4
+
+
+def gaps_decreasing(gaps: Sequence[float], floor: float) -> bool:
+    """True when every later gap is below the one before it or is at most
+    ``floor`` (rounding noise, which need not decrease)."""
+    return all(b < a or b <= floor for a, b in zip(gaps, gaps[1:]))
 
 
 def probe_log_bound(point: str, x: float) -> float:

@@ -223,7 +223,7 @@ def _pairs(total: int, ordered: bool):
 
 def chain_oracle(n: int, ordered: bool = True, gammas: bool = False) -> dict:
     """a_0..a_cap and J_n (cap = n // 3), sigma_0..sigma_{cap+1}, and gamma_q
-    for q = 1..n // 2 when ``gammas`` is set.
+    with its chain beta_0..beta_jbar for q = 1..n // 2 when ``gammas`` is set.
 
     g_i = (x^2+y^2)^{n-3i} x^{2i} y^{2i} = (-1/16)^i (z zbar)^{n-3i}
     (z^2 - zbar^2)^{2i}.  Dividing D g_i.g_j by the power of z zbar = x^2+y^2
@@ -267,7 +267,7 @@ def chain_oracle(n: int, ordered: bool = True, gammas: bool = False) -> dict:
             rhs -= 4 * sigma[k] * sigma[m] * _zz(n + k, n - 3 * k, n + m, n - 3 * m)
         sigma.append(rhs / (8 * _zz(n, n, n + j, n - 3 * j)))
 
-    gamma = {}
+    gamma, betas = {}, {}
     for q in range(1, n // 2 + 1 if gammas else 1):
         beta = [Fraction(1)]
         for j in range(1, (n - 2 * q) // 3 + 2):
@@ -281,4 +281,5 @@ def chain_oracle(n: int, ordered: bool = True, gammas: bool = False) -> dict:
                     n + k, n - 3 * k, n + m, n - 2 * q - 3 * m)
             beta.append(rhs / (4 * _zz(n, n, n + j, n - 2 * q - 3 * j)))
         gamma[q] = beta[-1]
-    return {"a": a, "J": J, "sigma": sigma, "gamma": gamma}
+        betas[q] = beta
+    return {"a": a, "J": J, "sigma": sigma, "gamma": gamma, "beta": betas}

@@ -6,6 +6,7 @@ reads ``classify.p_ij.cache_info()``; a renamed or deleted entry point makes
 benchmark, so its wrappers never reach this test session.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -14,14 +15,37 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_tracer_installs_and_reads_the_cache():
-    code = ("from tracer import Tracer; Tracer('t').install(); "
-            "from lumps import classify; print(classify.p_ij.cache_info().currsize)")
+def _traced(code: str) -> str:
+    """Stdout of ``code`` run in a fresh interpreter after ``Tracer.install``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "perfbench"), str(ROOT / "src")]
         + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=ROOT,
-                          capture_output=True, text=True, timeout=120)
+    proc = subprocess.run(
+        [sys.executable, "-c", "from tracer import Tracer; t = Tracer('t'); t.install()\n" + code],
+        env=env, cwd=ROOT, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0"]
+    return proc.stdout
+
+
+def test_tracer_installs_and_reads_the_cache():
+    out = _traced("from lumps import classify; print(classify.p_ij.cache_info().currsize)")
+    assert out.split() == ["0"]
+
+
+def test_chain_routes_are_traced():
+    # perfbench/selftest.py requires these counts on obstruction-scan; a chain
+    # entry point that stops calling through the wrapped names, or a J route
+    # that stops reading p_ij, would zero them
+    out = _traced(
+        "import json, time\n"
+        "from lumps import classify\n"
+        "t0 = time.perf_counter()\n"
+        "classify.scan(12)\n"
+        "classify.gamma_table(6)\n"
+        "m = t.summary(t0, time.perf_counter())\n"
+        "print(json.dumps(m))\n")
+    m = json.loads(out)
+    for layer in ("classify.j_route", "classify.sigma_route", "classify.gamma_route"):
+        assert m[layer + ".self_s"] > 0, layer
+    assert m["classify.p_ij.misses"] > 0

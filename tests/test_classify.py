@@ -1,9 +1,12 @@
 import csv
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
 
 from lumps import classify as cl
+from lumps.cli import main
 from lumps.hirota import hirota_monomial_zz
 from oracles import _axis, chain_oracle
 
@@ -123,6 +126,16 @@ class TestASeq:
         a = cl.a_seq(6, 1, convention="unordered")
         assert a[1] == 16 * 6 * 5
 
+    @pytest.mark.parametrize("call", [
+        lambda: cl.a_seq(3, 0, convention="bogus"),
+        lambda: cl.a_seq(9, convention="Ordered"),
+        lambda: cl.j_obstruction(3, "bogus"),
+        lambda: cl.scan(3, routes=("J",), convention="bogus"),
+    ])
+    def test_unknown_convention_raises(self, call):
+        with pytest.raises(ValueError, match="unknown pair convention"):
+            call()
+
     def test_unordered_breaks_triangular_law(self):
         # the reason "ordered" is the operative convention: the unordered
         # reading fails the law already at n = 6
@@ -232,6 +245,41 @@ class TestChainOracle:
             got = cl.gamma_table(n)
             assert got == chain_oracle(n, gammas=True)["gamma"], n
             assert all(type(v) is Fraction for v in got.values())
+
+    def test_beta_chains_to_30(self):
+        # every q at every n, non-triangular n included, where sigma and beta
+        # carry denominators: the whole chain, not only its terminal gamma
+        for n in range(1, 31):
+            ref = chain_oracle(n, gammas=True)
+            sigma = cl.sigma_seq(n)
+            for q in range(1, n // 2 + 1):
+                got = cl.beta_seq(n, q, sigma)
+                assert got == ref["beta"][q], (n, q)
+                assert cl.beta_seq(n, q) == got, (n, q)
+                assert all(type(v) is Fraction for v in got)
+
+
+class TestExactnessPins:
+    # SHA-256 digests of the benchmark's chain outputs: a faster chain must
+    # leave every value, and so each digest, unchanged
+
+    def test_scan_csv_digest(self, tmp_path, capsys):
+        path = tmp_path / "scan.csv"
+        assert main(["scan-jn", "--max-n", "120", "--routes", "J,sigma",
+                     "--out", str(path)]) == 0
+        capsys.readouterr()
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "17f2c9bdf123a592a1e908a2132ed807a91bc4e398ce5fa4646d9ab239475f58")
+
+    def test_certify_gamma_digest(self, capsys):
+        lines = []
+        for n in (n for n in range(1, 106) if cl.is_triangular(n)):
+            assert main(["certify", "--n", str(n)]) == 0
+            gammas = json.loads(capsys.readouterr().out)["results"]["gammas"]
+            lines += [f"{n} {q} {v}" for q, v in gammas.items()]
+        assert len(lines) == 276
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+            "3beb74701c272596b7af0be41d66fdf7f480b33dc00ccc82233c20c74bbb55bd")
 
 
 class TestInlinedEigenfactors:

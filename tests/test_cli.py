@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from lumps import cli
+from lumps import cli, lax
 from lumps.cli import RunReport, main
 from lumps.polyring import poly_xy, poly_zz
 
@@ -347,6 +348,28 @@ class TestLax:
         code, report, _ = run(capsys, "lax-probe", "--point", point)
         assert code == 0
         assert report["inputs"]["x"] == 1.0
+        # the gaps decrease strictly, far above the rounding floor, so the
+        # floor plays no part in the verdict at the default x
+        res = report["results"]
+        for key in ("phi12_gaps", "phi22_gaps"):
+            gaps = res[key]
+            assert all(b < a for a, b in zip(gaps, gaps[1:]))
+            assert min(gaps) > 100 * res["rounding_floor"]
+
+    @pytest.mark.parametrize("point", ["k1+", "k1-", "k2+", "k2-"])
+    @pytest.mark.parametrize("x", ["0", "1e-6", "1e-3", "-1e-3"])
+    def test_probe_small_x_gaps_are_rounding_noise(self, capsys, point, x):
+        # Phi is nearly the identity, so the gaps are mostly rounding noise
+        # that need not decrease; the noise stays at or below the floor
+        code, report, _ = run(capsys, "lax-probe", "--point", point, f"--x={x}")
+        assert code == 0
+        res = report["results"]
+        assert res["cauchy_decreasing"] is True
+        floor = res["rounding_floor"]
+        assert floor == 4 * sys.float_info.epsilon * math.exp(
+            lax.probe_log_bound(point, float(x)))
+        if abs(float(x)) <= 1e-6:
+            assert all(g <= floor for g in res["phi12_gaps"] + res["phi22_gaps"])
 
 
 class TestEnergyAndDegree:

@@ -166,6 +166,19 @@ class TestPhiEntries:
         assert all(abs(v) < 10 for v in probe["phi12"] + probe["phi22"])
 
 
+class TestGapsDecreasing:
+    def test_rule(self):
+        floor = 1e-11
+        assert lax.gaps_decreasing([3.0, 2.0, 1.0], floor)
+        assert lax.gaps_decreasing([0.0, 0.0], floor)
+        # noise may grow while it stays at or below the floor
+        assert lax.gaps_decreasing([1e-14, 5e-12, 1e-11], floor)
+        # growth above the floor fails, from noise or from a real gap
+        assert not lax.gaps_decreasing([1e-14, 2e-11], floor)
+        assert not lax.gaps_decreasing([1.0, 2.0, 0.5], floor)
+        assert not lax.gaps_decreasing([1e-3, 1e-4, 2e-4], floor)
+
+
 class TestProbeBound:
     @pytest.mark.parametrize("point", ["k1+", "k1-", "k2+", "k2-"])
     @pytest.mark.parametrize("sign", [1, -1])
