@@ -128,15 +128,20 @@ def energy(rec: TauRecord, half_width: float = 200.0, step: float = 0.05
     Evenness also fixes the parity of each derivative: tau and tau_xx are
     even, tau_x and tau_xxx are x times an even polynomial, tau_y is y
     times one and tau_xy is xy times one.  Each derivative is divided by
-    that monomial and stored as a float table in X = x^2, Y = y^2; a grid
-    row is then (Y powers) @ table @ (X powers), two small matrix products.
+    that monomial and stored as a float table in X = x^2, Y = y^2, even
+    parts (tau, tau_xx, tau_y) first and odd parts (tau_x, tau_xxx, tau_xy)
+    after.  A grid row is then (Y powers) @ table, followed by one matrix
+    product per parity: the even parts against the X powers and the odd
+    parts against x times the X powers, which restores their x factor.
     The integrand is summed in ratio form: with a = tau_x/tau,
     b = tau_xx/tau and q = (3/2) qh, q_x = (3/2) qh_x, dx^{-1} dy q = (3/2) vh,
 
-        qh = b - a^2,  qh_x = tau_xxx/tau - 3ab + 2a^3,
+        qh = b - a^2,  qh_x = tau_xxx/tau - a (3 qh + a^2),
         vh = (tau_xy - a tau_y)/tau,
 
-    the integrand is 3.375 qh_x^2 + qh^2 (13.5 qh - 3.375) - 2.25 vh^2.
+    the integrand is 3.375 qh_x^2 + 13.5 qh^3 - 3.375 qh^2 - 2.25 vh^2.
+    Each row is evaluated in a few row-sized buffers allocated once, with
+    in-place ufuncs, so the loop allocates no temporaries of length m.
 
     Raises ValueError for a window with no grid cell or more than
     MAX_ENERGY_CELLS cells per side, or a record outside the (3/2)
@@ -163,10 +168,10 @@ def energy(rec: TauRecord, half_width: float = 200.0, step: float = 0.05
         raise ValueError("energy quadrature assumes tau even in x and y")
 
     tau_x = tau.diff(0, 1)
-    # (derivative, x-parity, y-parity), in the row order unpacked below
-    parts = ((tau, 0, 0), (tau_x, 1, 0), (tau.diff(0, 2), 0, 0),
-             (tau.diff(0, 3), 1, 0), (tau.diff(1, 1), 0, 1),
-             (tau_x.diff(1, 1), 1, 1))
+    # (derivative, x-parity, y-parity): the even parts tau, tau_xx, tau_y,
+    # then the odd parts tau_x, tau_xxx, tau_xy, in the row order used below
+    parts = ((tau, 0, 0), (tau.diff(0, 2), 0, 0), (tau.diff(1, 1), 0, 1),
+             (tau_x, 1, 0), (tau.diff(0, 3), 1, 0), (tau_x.diff(1, 1), 1, 1))
     nx = tau.degree_in(0) // 2 + 1
     ny = tau.degree_in(1) // 2 + 1
     table = np.zeros((ny, len(parts), nx))
@@ -177,26 +182,36 @@ def energy(rec: TauRecord, half_width: float = 200.0, step: float = 0.05
 
     m = int(round(cells))
     xs = (np.arange(m) + 0.5) * step
-    xpow = np.vander(xs * xs, nx, increasing=True).T     # (nx, m)
+    # contiguous (nx, m): a transposed view makes every row product strided
+    xpow = np.ascontiguousarray(np.vander(xs * xs, nx, increasing=True).T)
+    xpow_odd = xpow * xs                                 # odd parts carry x
     ypows = np.vander(xs * xs, ny, increasing=True)      # row k: Y_k powers
+    even, odd = np.empty((3, m)), np.empty((3, m))
+    t, b, ty = even               # b: tau_xx, then tau_xx/tau, then qh
+    a, qhx, vh_y = odd            # tau_x, tau_xxx, tau_xy with their x factor
+    inv, a2, w = np.empty(m), np.empty(m), np.empty(m)
     total = 0.0
     # stripe across y to bound memory; each row is a full x vector
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for y, ypow in zip(xs, ypows):
-            t, tx, txx, txxx, ty, txy = (ypow @ table).reshape(-1, nx) @ xpow
-            inv = 1.0 / t
-            a = tx * inv
-            a *= xs
-            b = txx * inv
-            a2 = a * a
-            qh = b - a2
-            qhx = txxx * inv
-            qhx *= xs
-            qhx -= a * (3.0 * b - 2.0 * a2)
-            vh_y = txy * xs              # vh / y: the y factors join below
-            vh_y -= a * ty
+            coeffs = (ypow @ table).reshape(2, 3, nx)
+            np.matmul(coeffs[0], xpow, out=even)
+            np.matmul(coeffs[1], xpow_odd, out=odd)
+            np.divide(1.0, t, out=inv)
+            a *= inv
+            b *= inv
+            np.multiply(a, a, out=a2)
+            b -= a2                      # qh = b - a^2
+            np.multiply(b, 3.0, out=w)
+            w += a2
+            w *= a                       # a (3b - 2a^2) = a (3 qh + a^2)
+            qhx *= inv
+            qhx -= w
+            ty *= a
+            vh_y -= ty                   # vh / y: the y factors join below
             vh_y *= inv
-            total += (3.375 * (qhx @ qhx) + (qh * qh) @ (13.5 * qh - 3.375)
+            np.multiply(b, b, out=w)     # qh^2
+            total += (3.375 * (qhx @ qhx) + 13.5 * (w @ b) - 3.375 * w.sum()
                       - 2.25 * y * y * (vh_y @ vh_y))
     total = 4.0 * float(total) * step * step
     if not math.isfinite(total):

@@ -238,8 +238,19 @@ def sigma_obstruction(n: int) -> Fraction:
 # gamma route
 
 
-def beta_seq(n: int, q: int, sigma: Optional[Sequence[Fraction]] = None
-             ) -> List[Fraction]:
+def _c4_rows(n: int) -> List[List[int]]:
+    """C4(n-3k, n-r) at row k, index r, for 3k + r <= n.
+
+    The beta sums read C4(n-3k, n-2q-3m) with r = 2q + 3m, so one table
+    serves every q of a gamma table.
+    """
+    c4 = hirota.hirota_dx4_zz_coeff
+    return [[c4(n - 3 * k, n - r) for r in range(n - 3 * k + 1)]
+            for k in range(n // 3 + 1)]
+
+
+def beta_seq(n: int, q: int, sigma: Optional[Sequence[Fraction]] = None,
+             c4_rows: Optional[List[List[int]]] = None) -> List[Fraction]:
     """beta_0 .. beta_{jbar} for the kernel z^n zbar^{n-2q} (beta_0 = 1).
 
     Step j matches the coefficient of z^{2n+j-1} zbar^{2n-2q-3j-1}:
@@ -248,35 +259,34 @@ def beta_seq(n: int, q: int, sigma: Optional[Sequence[Fraction]] = None
                                - 4 sum_{k+m=j, k,m>=1} sigma_k beta_m E
 
     with E = (k-m)(2q+3(m-k)).  The k,m >= 1 restriction on the second sum is
-    pinned by the printed n = 15 gamma table.
+    pinned by the printed n = 15 gamma table.  ``sigma`` and ``c4_rows``
+    (``_c4_rows(n)``) are computed here when not passed in.
     """
     if not 1 <= q <= n // 2:
         raise ValueError(f"q must lie in 1..floor(n/2); got q={q}, n={n}")
     jbar = (n - 2 * q) // 3 + 1
     den_s, s = _over_lcm(sigma_seq(n, jbar) if sigma is None else sigma[:jbar + 1])
-    c4 = hirota.hirota_dx4_zz_coeff
+    c4 = _c4_rows(n) if c4_rows is None else c4_rows
     beta, b, den = [Fraction(1)], [1], 1  # beta[i] = b[i] / den
     for j in range(1, jbar + 1):
         # k = 0 has no E term (the sum starts at k = 1); s[0] = den_s
-        total = s[0] * c4(n, n - 2 * q - 3 * (j - 1)) * b[j - 1]  # over den_s * den
+        total = s[0] * c4[0][2 * q + 3 * (j - 1)] * b[j - 1]  # over den_s * den
         for k in range(1, j):
             m = j - 1 - k
-            total += s[k] * (c4(n - 3 * k, n - 2 * q - 3 * m) * b[m]
+            total += s[k] * (c4[k][2 * q + 3 * m] * b[m]
                              - 4 * _dz_dzbar(2 * q, k, m + 1) * b[m + 1])
         eigen = 4 * _dz_dzbar(2 * q, 0, j)  # -4 j (2q + 3j)
         den = _push(beta, b, den, Fraction(total, eigen * den_s * den))
     return beta
 
 
-def gamma(n: int, q: int, sigma: Optional[Sequence[Fraction]] = None) -> Fraction:
-    """gamma_q = beta_{jbar}, jbar = floor((n-2q)/3) + 1."""
-    return beta_seq(n, q, sigma)[-1]
-
-
 def gamma_table(n: int) -> Dict[int, Fraction]:
-    """gamma_q for q = 1 .. floor(n/2), sharing one sigma chain."""
-    sigma = sigma_seq(n)
-    return {q: gamma(n, q, sigma) for q in range(1, n // 2 + 1)}
+    """gamma_q = beta_{jbar} (jbar = floor((n-2q)/3) + 1) for q = 1 .. floor(n/2).
+
+    Every chain shares one sigma chain and one C4 table.
+    """
+    sigma, c4_rows = sigma_seq(n), _c4_rows(n)
+    return {q: beta_seq(n, q, sigma, c4_rows)[-1] for q in range(1, n // 2 + 1)}
 
 
 def is_triangular(n: int) -> bool:
@@ -389,6 +399,7 @@ def scan(max_n: int, routes: Sequence[str] = ("J", "sigma"),
     """Per-n obstruction rows for n = 1..max_n; route agreement enforced."""
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
+    _off_diagonal_weight(convention)  # unknown conventions raise, whatever the routes
     if not routes:
         raise ValueError("at least one route is required (J, sigma, gamma)")
     for r in routes:

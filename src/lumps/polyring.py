@@ -98,9 +98,6 @@ class QQi:
     def __neg__(self) -> "QQi":
         return QQi(-self.re, -self.im)
 
-    def conjugate(self) -> "QQi":
-        return QQi(self.re, -self.im)
-
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
 
@@ -130,7 +127,6 @@ class QQi:
 
 ZERO = QQi()
 ONE = QQi(Fraction(1))
-I = QQi(Fraction(0), Fraction(1))
 
 
 class Basis(Enum):
@@ -512,11 +508,6 @@ def poly_xy(mapping: Mapping[tuple, "QQi | Rat"]) -> ExactPoly:
 
 def poly_zz(mapping: Mapping[tuple, "QQi | Rat"]) -> ExactPoly:
     return ExactPoly(mapping, Basis.ZZBAR)
-
-
-def x_plus_iy_power(k: int) -> ExactPoly:
-    """(x + iy)^k as an exact (x,y)-polynomial."""
-    return ExactPoly({(1, 0): ONE, (0, 1): I}, Basis.XY) ** k
 
 
 def r_squared(basis: Basis = Basis.XY) -> ExactPoly:

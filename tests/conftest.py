@@ -60,6 +60,16 @@ def random_poly(rng: random.Random, basis=Basis.XY, max_degree=5,
     return ExactPoly(terms, basis)
 
 
+def x_plus_iy_power(k: int) -> ExactPoly:
+    """(x + iy)^k as an exact (x,y)-polynomial."""
+    i = QQi(Fraction(0), Fraction(1))
+    return ExactPoly({(1, 0): 1, (0, 1): i}, Basis.XY) ** k
+
+
+def conjugate(c: QQi) -> QQi:
+    return QQi(c.re, -c.im)
+
+
 @pytest.fixture
 def rng():
     return random.Random(20240817)

@@ -49,3 +49,19 @@ def test_chain_routes_are_traced():
     for layer in ("classify.j_route", "classify.sigma_route", "classify.gamma_route"):
         assert m[layer + ".self_s"] > 0, layer
     assert m["classify.p_ij.misses"] > 0
+
+
+def test_energy_is_traced_with_its_grid():
+    # the tracer binds energy's half_width and step by name to count the
+    # grid points; a renamed parameter makes the traced call raise
+    out = _traced(
+        "import json, time\n"
+        "from lumps import catalog\n"
+        "t0 = time.perf_counter()\n"
+        "catalog.energy(catalog.get_record('lump2-bnew'), half_width=5.0, step=0.25)\n"
+        "m = t.summary(t0, time.perf_counter())\n"
+        "print(json.dumps(m))\n")
+    m = json.loads(out)
+    assert m["catalog.energy.calls"] == 1
+    assert m["catalog.energy.points"] == 20 * 20
+    assert m["catalog.energy.points_per_s"] > 0

@@ -130,6 +130,24 @@ class TestEnergy:
         assert H == pytest.approx(
             energy_oracle(CAT[rid].tau(), 60.0, 0.1), rel=1e-12, abs=0)
 
+    def test_rectangular_table_matches_oracle(self):
+        # x-degree 4, y-degree 2: every catalog -bnew record has the same
+        # degree in x and y, so a transposed power table would go unseen
+        tau = poly_xy({(4, 0): 1, (2, 0): 6, (0, 2): 3, (0, 0): 9})
+        rec = cat.TauRecord("rect", (((), tau),), Fraction(3, 2), PRESETS["bnew"], ())
+        assert cat.energy(rec, half_width=20.0, step=0.1) == pytest.approx(
+            energy_oracle(tau, 20.0, 0.1), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("rid, value", [
+        ("lump2-bnew", 1.3608612445442383),
+        ("pelin6-bnew", 4.085653044838058),
+        ("pelin12-corrected-bnew", 8.180508949391344),
+    ])
+    def test_values_at_default_window(self, rid, value):
+        # the default window R = 200, h = 0.05: a rewrite of the row
+        # evaluation may move these values by rounding only
+        assert cat.energy(CAT[rid]) == pytest.approx(value, rel=1e-13, abs=0)
+
     def test_vanishing_tau_raises(self):
         # x^2 - y^2 is zero on the diagonal nodes of the midpoint grid
         rec = cat.TauRecord("cone", (((), poly_xy({(2, 0): 1, (0, 2): -1})),),

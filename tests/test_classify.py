@@ -131,6 +131,8 @@ class TestASeq:
         lambda: cl.a_seq(9, convention="Ordered"),
         lambda: cl.j_obstruction(3, "bogus"),
         lambda: cl.scan(3, routes=("J",), convention="bogus"),
+        lambda: cl.scan(3, routes=("sigma",), convention="bogus"),
+        lambda: cl.scan(3, routes=("gamma",), convention="bogus"),
     ])
     def test_unknown_convention_raises(self, call):
         with pytest.raises(ValueError, match="unknown pair convention"):

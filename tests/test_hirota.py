@@ -236,7 +236,8 @@ class TestBilinearForm:
 
     def test_harmonic_power_family(self):
         # (Dx^2 + Dy^2) annihilates a (x^2+y^2)^j (x+yi)^k
-        from lumps.polyring import r_squared, x_plus_iy_power
+        from conftest import x_plus_iy_power
+        from lumps.polyring import r_squared
         form = custom_form([("1", 2, 0), ("1", 0, 2)])
         for j, k in ((0, 3), (2, 0), (1, 2)):
             eta = (r_squared() ** j * x_plus_iy_power(k)).scale(QQi(Fraction(2), Fraction(5)))
