@@ -26,10 +26,14 @@ Two documented errata travel with the catalog (see NOTES on the records):
 
 from __future__ import annotations
 
+import contextlib
 import math
+import mmap
+import os
+import signal
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -113,6 +117,16 @@ def verify_tau(rec: TauRecord, bindings: Optional[Dict[str, Fraction]] = None,
 #: take hours, and a larger window would fail to allocate its node arrays
 MAX_ENERGY_CELLS = 10**6
 
+#: widest column tile of an ``energy`` row: at 16,000 nodes OpenBLAS threads
+#: the row products, and those threads oversubscribe the CPUs the row bands
+#: already use
+ENERGY_TILE = 4096
+
+#: fewest grid rows in an ``energy`` band: on 2 vCPUs a forked worker cost
+#: more than it saved at m = 1500 rows (60 -> 65-74 ms per record) and won
+#: at m = 2000 (88 -> 54-61 ms)
+ENERGY_MIN_BAND_ROWS = 1000
+
 
 def energy(rec: TauRecord, half_width: float = 200.0, step: float = 0.05
            ) -> float:
@@ -140,8 +154,22 @@ def energy(rec: TauRecord, half_width: float = 200.0, step: float = 0.05
         vh = (tau_xy - a tau_y)/tau,
 
     the integrand is 3.375 qh_x^2 + 13.5 qh^3 - 3.375 qh^2 - 2.25 vh^2.
-    Each row is evaluated in a few row-sized buffers allocated once, with
-    in-place ufuncs, so the loop allocates no temporaries of length m.
+
+    The m rows of the quadrant are cut into contiguous bands, one per
+    usable CPU (``os.sched_getaffinity``), with at least
+    ENERGY_MIN_BAND_ROWS rows per band and a single band where the
+    platform has no ``os.fork``.  The caller computes the first band and
+    forked workers the others; each band writes one integrand sum per row
+    into an anonymous shared mmap (see ``_in_bands`` for the workers'
+    lifecycle).  Two threads measured slower than one: the loop is a chain
+    of short numpy calls.  A row is evaluated in column tiles of at most
+    ENERGY_TILE nodes, with in-place ufuncs in a few tile-sized buffers
+    allocated once per band; the tiles keep each numpy call below the size
+    at which OpenBLAS starts threads of its own, which would compete with
+    the workers for the same CPUs.  The total is 4 h^2 times the exactly
+    rounded ``math.fsum`` of the row sums, so it has the same bits for any
+    number of workers.  On Python 3.12 and later ``os.fork`` emits a
+    DeprecationWarning when the process already runs other threads.
 
     Raises ValueError for a window with no grid cell or more than
     MAX_ENERGY_CELLS cells per side, or a record outside the (3/2)
@@ -182,43 +210,118 @@ def energy(rec: TauRecord, half_width: float = 200.0, step: float = 0.05
 
     m = int(round(cells))
     xs = (np.arange(m) + 0.5) * step
-    # contiguous (nx, m): a transposed view makes every row product strided
-    xpow = np.ascontiguousarray(np.vander(xs * xs, nx, increasing=True).T)
-    xpow_odd = xpow * xs                                 # odd parts carry x
-    ypows = np.vander(xs * xs, ny, increasing=True)      # row k: Y_k powers
-    even, odd = np.empty((3, m)), np.empty((3, m))
-    t, b, ty = even               # b: tau_xx, then tau_xx/tau, then qh
-    a, qhx, vh_y = odd            # tau_x, tau_xxx, tau_xy with their x factor
-    inv, a2, w = np.empty(m), np.empty(m), np.empty(m)
-    total = 0.0
-    # stripe across y to bound memory; each row is a full x vector
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for y, ypow in zip(xs, ypows):
-            coeffs = (ypow @ table).reshape(2, 3, nx)
-            np.matmul(coeffs[0], xpow, out=even)
-            np.matmul(coeffs[1], xpow_odd, out=odd)
-            np.divide(1.0, t, out=inv)
-            a *= inv
-            b *= inv
-            np.multiply(a, a, out=a2)
-            b -= a2                      # qh = b - a^2
-            np.multiply(b, 3.0, out=w)
-            w += a2
-            w *= a                       # a (3b - 2a^2) = a (3 qh + a^2)
-            qhx *= inv
-            qhx -= w
-            ty *= a
-            vh_y -= ty                   # vh / y: the y factors join below
-            vh_y *= inv
-            np.multiply(b, b, out=w)     # qh^2
-            total += (3.375 * (qhx @ qhx) + 13.5 * (w @ b) - 3.375 * w.sum()
-                      - 2.25 * y * y * (vh_y @ vh_y))
-    total = 4.0 * float(total) * step * step
+    row_sums = np.frombuffer(mmap.mmap(-1, 8 * m))  # shared with the workers
+    _in_bands(lambda lo, hi: _energy_rows(table, xs, lo, hi, row_sums),
+              m, _workers(m))
+    total = math.inf
+    if np.isfinite(row_sums).all():  # fsum raises ValueError on inf - inf
+        with contextlib.suppress(OverflowError):
+            total = 4.0 * math.fsum(row_sums) * step * step
     if not math.isfinite(total):
         raise ArithmeticError(
             f"energy sum of {rec.id!r} is not finite: tau vanishes (or "
             f"overflows) on the quadrature grid")
     return total
+
+
+def _energy_rows(table: np.ndarray, xs: np.ndarray, lo: int, hi: int,
+                 out: np.ndarray) -> None:
+    """The integrand sums of quadrant rows lo..hi-1 of ``energy``, into out."""
+    nx = table.shape[1] // 6
+    ypows = np.vander(xs[lo:hi] * xs[lo:hi], len(table), increasing=True)
+    width = min(ENERGY_TILE, len(xs))
+    even, odd, scratch = (np.empty((3, width)) for _ in range(3))
+    tiles = []
+    for s in range(0, len(xs), width):
+        x = xs[s:s + width]
+        n = len(x)
+        # contiguous (nx, n): a transposed view makes every row product strided
+        xpow = np.ascontiguousarray(np.vander(x * x, nx, increasing=True).T)
+        ev, od, sc = even[:, :n], odd[:, :n], scratch[:, :n]
+        tiles.append((xpow, xpow * x, ev, od, tuple(ev), tuple(od), tuple(sc)))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for r, ypow in zip(range(lo, hi), ypows):
+            y = xs[r]
+            coeffs = (ypow @ table).reshape(2, 3, nx)
+            row = 0.0
+            # b: tau_xx, then tau_xx/tau, then qh; the odd parts (a, qhx,
+            # vh_y) carry their x factor from xpow_odd
+            for (xpow, xpow_odd, ev, od, (t, b, ty), (a, qhx, vh_y),
+                 (inv, a2, w)) in tiles:
+                np.matmul(coeffs[0], xpow, out=ev)
+                np.matmul(coeffs[1], xpow_odd, out=od)
+                np.divide(1.0, t, out=inv)
+                a *= inv
+                b *= inv
+                np.multiply(a, a, out=a2)
+                b -= a2                      # qh = b - a^2
+                np.multiply(b, 3.0, out=w)
+                w += a2
+                w *= a                       # a (3b - 2a^2) = a (3 qh + a^2)
+                qhx *= inv
+                qhx -= w
+                ty *= a
+                vh_y -= ty                   # vh / y: the y factors join below
+                vh_y *= inv
+                np.multiply(b, b, out=w)     # qh^2
+                row += (3.375 * (qhx @ qhx) + 13.5 * (w @ b) - 3.375 * w.sum()
+                        - 2.25 * y * y * (vh_y @ vh_y))
+            out[r] = row
+
+
+def _workers(rows: int) -> int:
+    """How many processes share the rows of ``energy``: the CPUs this process
+    may run on, at most one per ENERGY_MIN_BAND_ROWS rows, and 1 where there
+    is no ``os.fork``."""
+    if not hasattr(os, "fork"):
+        return 1
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    return max(1, min(cpus, rows // ENERGY_MIN_BAND_ROWS))
+
+
+def _in_bands(band: Callable[[int, int], None], rows: int, workers: int
+              ) -> None:
+    """Call band(lo, hi) on contiguous bands that cover range(rows).
+
+    The caller computes the first band and a forked worker each of the
+    others, so band must leave its results in memory shared across fork.
+    A worker leaves only through ``os._exit`` (status 1 when its band
+    raised): it never flushes the stdio buffers it inherited, runs atexit
+    handlers or returns into the caller's stack.  Every worker is reaped
+    before this returns or raises; when the caller's own band raises, the
+    workers are killed first.  A band whose worker could not be forked or
+    exited nonzero is computed again in the caller.
+    """
+    cuts = [rows * k // workers for k in range(workers + 1)]
+    pids: Dict[int, int] = {}
+    redo: List[int] = []
+    try:
+        for k in range(1, workers):
+            try:
+                pid = os.fork()
+            except OSError:
+                redo.append(k)
+                continue
+            if pid == 0:
+                status = 1
+                try:
+                    band(cuts[k], cuts[k + 1])
+                    status = 0
+                finally:
+                    os._exit(status)
+            pids[pid] = k
+        band(cuts[0], cuts[1])
+    except BaseException:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, k in pids.items():
+            if os.waitpid(pid, 0)[1] != 0:
+                redo.append(k)
+    for k in redo:
+        band(cuts[k], cuts[k + 1])
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,10 @@
 import hashlib
+import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -154,6 +159,144 @@ class TestEnergy:
                             Fraction(3, 2), PRESETS["bnew"], ())
         with pytest.raises(ArithmeticError, match="tau vanishes"):
             cat.energy(rec, half_width=5.0, step=0.25)
+
+
+#: (x^2 + 1)(y^2 - 4.375^2): zero on grid row 17 (y = 4.375) of the R = 5,
+#: h = 0.25 quadrant, which lies in the last band for 2 or 3 workers
+BAND_CONE = poly_xy({(2, 2): 1, (2, 0): Fraction(-1225, 64), (0, 2): 1,
+                     (0, 0): Fraction(-1225, 64)})
+
+
+def _no_children_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestEnergyBands:
+    """Row bands in forked workers and column tiles inside a row."""
+
+    @pytest.mark.parametrize("rid", ["lump2-bnew", "pelin6-bnew",
+                                     "pelin12-corrected-bnew"])
+    def test_split_invariance(self, rid, monkeypatch):
+        # m = 20 rows in 1, 2 or 3 bands, 20 columns in tiles of 7, 7 and 6
+        monkeypatch.setattr(cat, "ENERGY_TILE", 7)
+        values = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(cat, "_workers", lambda rows, w=workers: w)
+            values.append(cat.energy(CAT[rid], half_width=5.0, step=0.25))
+        assert values[0] == values[1] == values[2]
+        assert values[0] == pytest.approx(
+            energy_oracle(CAT[rid].tau(), 5.0, 0.25), rel=1e-12, abs=0)
+        _no_children_left()
+
+    def test_same_bits_for_any_worker_count(self, monkeypatch):
+        values = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(cat, "_workers", lambda rows, w=workers: w)
+            values.append(cat.energy(CAT["pelin12-corrected-bnew"], 60.0, 0.1))
+        assert values[0] == values[1] == values[2]
+        _no_children_left()
+
+    def test_worker_count(self):
+        # one band per CPU, but no band below ENERGY_MIN_BAND_ROWS rows
+        assert cat._workers(1) == 1
+        assert cat._workers(2 * cat.ENERGY_MIN_BAND_ROWS - 1) == 1
+        assert cat._workers(10**6) == len(os.sched_getaffinity(0))
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_vanishing_tau_in_a_worker_band_raises(self, workers, monkeypatch):
+        monkeypatch.setattr(cat, "_workers", lambda rows: workers)
+        rec = cat.TauRecord("band-cone", (((), BAND_CONE),), Fraction(3, 2),
+                            PRESETS["bnew"], ())
+        with pytest.raises(ArithmeticError, match="tau vanishes"):
+            cat.energy(rec, half_width=5.0, step=0.25)
+        _no_children_left()
+
+    @pytest.mark.parametrize("first_rows", [(math.inf, -math.inf), (1e308, 1e308)])
+    def test_nonfinite_row_total_raises_arithmetic_error(self, first_rows,
+                                                         monkeypatch):
+        # fsum raises ValueError on inf - inf, which the CLI would report as
+        # a usage error, and OverflowError when finite rows overflow; both
+        # must end as the ArithmeticError of a sum that is not finite
+        rows = cat._energy_rows
+
+        def large_first_rows(table, xs, lo, hi, out):
+            rows(table, xs, lo, hi, out)
+            out[lo] = first_rows[lo > 0]
+
+        monkeypatch.setattr(cat, "_energy_rows", large_first_rows)
+        monkeypatch.setattr(cat, "_workers", lambda rows: 2)
+        with pytest.raises(ArithmeticError, match="tau vanishes"):
+            cat.energy(CAT["lump2-bnew"], half_width=5.0, step=0.25)
+        _no_children_left()
+
+    def test_failed_worker_band_is_recomputed(self, monkeypatch):
+        expected = cat.energy(CAT["pelin6-bnew"], half_width=5.0, step=0.25)
+        caller, rows = os.getpid(), cat._energy_rows
+
+        def fails_in_workers(*args):
+            if os.getpid() != caller:
+                raise RuntimeError("worker fails")
+            return rows(*args)
+
+        monkeypatch.setattr(cat, "_energy_rows", fails_in_workers)
+        monkeypatch.setattr(cat, "_workers", lambda rows: 3)
+        assert cat.energy(CAT["pelin6-bnew"], half_width=5.0, step=0.25) == expected
+        _no_children_left()
+
+    def test_band_without_a_worker_is_computed_by_the_caller(self, monkeypatch):
+        expected = cat.energy(CAT["pelin6-bnew"], half_width=5.0, step=0.25)
+
+        def no_fork():
+            raise BlockingIOError("fork refused")
+
+        monkeypatch.setattr(cat.os, "fork", no_fork)
+        monkeypatch.setattr(cat, "_workers", lambda rows: 3)
+        assert cat.energy(CAT["pelin6-bnew"], half_width=5.0, step=0.25) == expected
+
+    def test_workers_are_reaped_when_the_caller_band_raises(self, monkeypatch):
+        caller, rows = os.getpid(), cat._energy_rows
+
+        def fails_in_caller(*args):
+            if os.getpid() == caller:
+                raise RuntimeError("caller fails")
+            return rows(*args)
+
+        monkeypatch.setattr(cat, "_energy_rows", fails_in_caller)
+        monkeypatch.setattr(cat, "_workers", lambda rows: 3)
+        with pytest.raises(RuntimeError, match="caller fails"):
+            cat.energy(CAT["pelin6-bnew"], half_width=5.0, step=0.25)
+        _no_children_left()
+
+    def test_workers_exit_without_flushing_or_atexit(self):
+        # stdout is a pipe, so the first line sits in the buffer across the
+        # fork; a worker that flushed it or ran atexit would repeat it
+        code = (
+            "import atexit, os, sys\n"
+            "from lumps import catalog as cat\n"
+            "cat._workers = lambda rows: 3\n"
+            "atexit.register(print, 'atexit ran')\n"
+            "sys.stdout.write('before the fork\\n')\n"
+            "rows = cat._energy_rows\n"
+            "def fails(*args):\n"
+            "    if os.getpid() != caller:\n"
+            "        raise RuntimeError('worker fails')\n"
+            "    return rows(*args)\n"
+            "caller = os.getpid()\n"
+            "print(cat.energy(cat.catalog()['lump2-bnew'], 5.0, 0.25))\n"
+            "cat._energy_rows = fails\n"
+            "print(cat.energy(cat.catalog()['lump2-bnew'], 5.0, 0.25))\n")
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        lines = proc.stdout.splitlines()
+        assert lines[0] == "before the fork" and lines[-1] == "atexit ran"
+        assert len(lines) == 4 and lines[1] == lines[2]
 
 
 class TestRescaling:

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -425,6 +426,25 @@ class TestEnergyAndDegree:
         assert code == 1
         assert report["results"]["error"] == "tau vanishes on the quadrature grid"
         assert "H" not in report["results"]
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_energy_vanishing_in_a_worker_band_exits_one(self, capsys, monkeypatch,
+                                                          workers):
+        # (x^2 + 1)(y^2 - 4.375^2) vanishes only on grid row 17 of 20, inside
+        # the last band; the report names the cause and no worker is left
+        tau = poly_xy({(2, 2): 1, (2, 0): Fraction(-1225, 64), (0, 2): 1,
+                       (0, 0): Fraction(-1225, 64)})
+        rec = cli.cat.TauRecord("band-cone", (((), tau),), Fraction(3, 2),
+                                cli.cat.BNEW, ())
+        monkeypatch.setitem(cli.cat.catalog(), "band-cone", rec)
+        monkeypatch.setattr(cli.cat, "_workers", lambda rows: workers)
+        code, report, _ = run(capsys, "energy", "--tau", "band-cone",
+                              "--half-width", "5", "--step", "0.25")
+        assert code == 1
+        assert "tau vanishes" in report["results"]["error"]
+        assert "H" not in report["results"]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_degree_negative_k_is_usage_error(self, capsys):
         code, report, err = run(capsys, "degree", "--k=-2")
