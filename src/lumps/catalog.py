@@ -37,6 +37,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from . import hirota
 from .hirota import BNEW, STANDARD, YANG_ELLIPTIC, BilinearForm
 from .polyring import Basis, ExactPoly, poly_xy, poly_zz, r_squared
 
@@ -139,21 +140,37 @@ def energy(rec: TauRecord, half_width: float = 200.0, step: float = 0.05
     Midpoint rule on [-R, R]^2; the record's polynomial must be even in x
     and in y, which folds the grid onto one quadrant.
 
-    Evenness also fixes the parity of each derivative: tau and tau_xx are
-    even, tau_x and tau_xxx are x times an even polynomial, tau_y is y
-    times one and tau_xy is xy times one.  Each derivative is divided by
-    that monomial and stored as a float table in X = x^2, Y = y^2, even
-    parts (tau, tau_xx, tau_y) first and odd parts (tau_x, tau_xxx, tau_xy)
-    after.  A grid row is then (Y powers) @ table, followed by one matrix
-    product per parity: the even parts against the X powers and the odd
-    parts against x times the X powers, which restores their x factor.
-    The integrand is summed in ratio form: with a = tau_x/tau,
-    b = tau_xx/tau and q = (3/2) qh, q_x = (3/2) qh_x, dx^{-1} dy q = (3/2) vh,
+    The derivatives of log tau are quotients of exact numerators, built
+    once per call (``_energy_numerators``):
 
-        qh = b - a^2,  qh_x = tau_xxx/tau - a (3 qh + a^2),
-        vh = (tau_xy - a tau_y)/tau,
+        qh = dxx log tau = N2 / tau^2,     N2 = tau tau_xx - tau_x^2,
+        qh_x = dxxx log tau = N3 / tau^3,  N3 = tau dx N2 - 2 tau_x N2,
+        vh = dxy log tau = NV / tau^2,     NV = tau tau_xy - tau_x tau_y,
 
-    the integrand is 3.375 qh_x^2 + 13.5 qh^3 - 3.375 qh^2 - 2.25 vh^2.
+    with q = (3/2) qh, q_x = (3/2) qh_x and dx^{-1} dy q = (3/2) vh, so the
+    integrand is 3.375 qh_x^2 + 13.5 qh^3 - 3.375 qh^2 - 2.25 vh^2.  N2 and
+    NV are the Hirota derivatives (1/2) Dx^2 tau.tau and (1/2) Dx Dy tau.tau,
+    so ``hirota.hirota_d`` forms them in one pass over the pairs of terms of
+    tau, and the cancellation between tau tau_xx and tau_x^2 (and in N3
+    and NV) happens in exact arithmetic rather than at every node.
+
+    Evenness fixes the parity of each numerator: tau and N2 are even, N3
+    is x times an even polynomial and NV is xy times one.  Each is divided
+    by that monomial and stored as a float table in X = x^2, Y = y^2: the
+    even parts (tau, N2) in one table and the odd parts (N3, NV) in
+    another, each as wide as its own highest X power.  A grid row is then
+    (Y powers) @ table per parity, followed by one matrix product per
+    parity: the even parts against the X powers and the odd parts against
+    x times the X powers, which restores their x factor (the y factor of
+    NV joins the row sum as y^2).  Per node the row then takes seven
+    elementwise passes, s = 1/tau, u = s^2, qh = N2 u, qh_x = N3 u s (two),
+    vh = NV u and w = qh^2, and four dot products: sum qh_x^2, sum w qh,
+    sum qh^2 and sum vh^2.  (One broadcast call for (N3, NV) u would make
+    six passes, but measured slower than the two row calls.)
+
+    The numerators reach degree 3d - 3 for a tau of degree d, so a node
+    overflows once |x| or |y| nears 10^(308/(3d-3)) (about 2e9 for d = 12);
+    such a window raises the ArithmeticError below.
 
     The m rows of the quadrant are cut into contiguous bands, one per
     usable CPU (``os.sched_getaffinity``), with at least
@@ -195,23 +212,24 @@ def energy(rec: TauRecord, half_width: float = 200.0, step: float = 0.05
     if any(i % 2 or j % 2 for (i, j) in tau.terms):
         raise ValueError("energy quadrature assumes tau even in x and y")
 
-    tau_x = tau.diff(0, 1)
-    # (derivative, x-parity, y-parity): the even parts tau, tau_xx, tau_y,
-    # then the odd parts tau_x, tau_xxx, tau_xy, in the row order used below
-    parts = ((tau, 0, 0), (tau.diff(0, 2), 0, 0), (tau.diff(1, 1), 0, 1),
-             (tau_x, 1, 0), (tau.diff(0, 3), 1, 0), (tau_x.diff(1, 1), 1, 1))
-    nx = tau.degree_in(0) // 2 + 1
-    ny = tau.degree_in(1) // 2 + 1
-    table = np.zeros((ny, len(parts), nx))
-    for k, (p, px, py) in enumerate(parts):
-        for (i, j), c in p.terms.items():
-            table[(j - py) // 2, k, (i - px) // 2] = float(c.re)
-    table = table.reshape(ny, -1)
+    n2, n3, nv = _energy_numerators(tau)
+    # the x-even parts, then the x-odd ones, in the row order used below;
+    # i // 2 and j // 2 drop the parity monomials x, y of the odd exponents
+    parities = ((tau, n2), (n3, nv))
+    ny = max(p.degree_in(1) for parts in parities for p in parts) // 2 + 1
+    tables = []
+    for parts in parities:
+        nx = max(p.degree_in(0) for p in parts) // 2 + 1
+        table = np.zeros((ny, len(parts), nx))
+        for k, p in enumerate(parts):
+            for (i, j), c in p.terms.items():
+                table[j // 2, k, i // 2] = float(c.re)
+        tables.append(table.reshape(ny, -1))
 
     m = int(round(cells))
     xs = (np.arange(m) + 0.5) * step
     row_sums = np.frombuffer(mmap.mmap(-1, 8 * m))  # shared with the workers
-    _in_bands(lambda lo, hi: _energy_rows(table, xs, lo, hi, row_sums),
+    _in_bands(lambda lo, hi: _energy_rows(tables, xs, lo, hi, row_sums),
               m, _workers(m))
     total = math.inf
     if np.isfinite(row_sums).all():  # fsum raises ValueError on inf - inf
@@ -224,48 +242,57 @@ def energy(rec: TauRecord, half_width: float = 200.0, step: float = 0.05
     return total
 
 
-def _energy_rows(table: np.ndarray, xs: np.ndarray, lo: int, hi: int,
+def _energy_numerators(tau: ExactPoly) -> Tuple[ExactPoly, ExactPoly, ExactPoly]:
+    """N2 = tau tau_xx - tau_x^2, N3 = tau^2 tau_xxx - 3 tau tau_x tau_xx
+    + 2 tau_x^3 and NV = tau tau_xy - tau_x tau_y, exactly: dxx log tau =
+    N2/tau^2, dxxx log tau = N3/tau^3 and dxy log tau = NV/tau^2."""
+    half = Fraction(1, 2)
+    n2 = hirota.hirota_d(2, 0, tau, tau).scale(half)
+    nv = hirota.hirota_d(1, 1, tau, tau).scale(half)
+    n3 = tau * n2.diff(0, 1) - (tau.diff(0, 1) * n2).scale(2)
+    return n2, n3, nv
+
+
+def _energy_rows(tables: List[np.ndarray], xs: np.ndarray, lo: int, hi: int,
                  out: np.ndarray) -> None:
     """The integrand sums of quadrant rows lo..hi-1 of ``energy``, into out."""
-    nx = table.shape[1] // 6
-    ypows = np.vander(xs[lo:hi] * xs[lo:hi], len(table), increasing=True)
+    even, odd = tables
+    nxe, nxo = even.shape[1] // 2, odd.shape[1] // 2
     width = min(ENERGY_TILE, len(xs))
-    even, odd, scratch = (np.empty((3, width)) for _ in range(3))
-    tiles = []
-    for s in range(0, len(xs), width):
-        x = xs[s:s + width]
-        n = len(x)
-        # contiguous (nx, n): a transposed view makes every row product strided
-        xpow = np.ascontiguousarray(np.vander(x * x, nx, increasing=True).T)
-        ev, od, sc = even[:, :n], odd[:, :n], scratch[:, :n]
-        tiles.append((xpow, xpow * x, ev, od, tuple(ev), tuple(od), tuple(sc)))
+    ev_buf, od_buf, scratch = (np.empty((k, width)) for k in (2, 2, 3))
+    # a huge window overflows the power tables: that is the ArithmeticError
+    # of ``energy``, so the tables are built inside the guard too
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ypows = np.vander(xs[lo:hi] * xs[lo:hi], len(even), increasing=True)
+        tiles = []
+        for start in range(0, len(xs), width):
+            x = xs[start:start + width]
+            n = len(x)
+            # contiguous (nx, n): a transposed view makes every row product
+            # strided
+            xpow = np.ascontiguousarray(
+                np.vander(x * x, max(nxe, nxo), increasing=True).T)
+            ev, od, sc = ev_buf[:, :n], od_buf[:, :n], scratch[:, :n]
+            tiles.append((xpow[:nxe], xpow[:nxo] * x, ev, od, tuple(ev),
+                          tuple(od), tuple(sc)))
         for r, ypow in zip(range(lo, hi), ypows):
             y = xs[r]
-            coeffs = (ypow @ table).reshape(2, 3, nx)
+            ce = (ypow @ even).reshape(2, nxe)
+            co = (ypow @ odd).reshape(2, nxo)
             row = 0.0
-            # b: tau_xx, then tau_xx/tau, then qh; the odd parts (a, qhx,
-            # vh_y) carry their x factor from xpow_odd
-            for (xpow, xpow_odd, ev, od, (t, b, ty), (a, qhx, vh_y),
-                 (inv, a2, w)) in tiles:
-                np.matmul(coeffs[0], xpow, out=ev)
-                np.matmul(coeffs[1], xpow_odd, out=od)
-                np.divide(1.0, t, out=inv)
-                a *= inv
-                b *= inv
-                np.multiply(a, a, out=a2)
-                b -= a2                      # qh = b - a^2
-                np.multiply(b, 3.0, out=w)
-                w += a2
-                w *= a                       # a (3b - 2a^2) = a (3 qh + a^2)
-                qhx *= inv
-                qhx -= w
-                ty *= a
-                vh_y -= ty                   # vh / y: the y factors join below
-                vh_y *= inv
-                np.multiply(b, b, out=w)     # qh^2
-                row += (3.375 * (qhx @ qhx) + 13.5 * (w @ b) - 3.375 * w.sum()
-                        - 2.25 * y * y * (vh_y @ vh_y))
+            # the odd parts carry their x factor from xo; v lacks its y
+            for xe, xo, ev, od, (t, q), (qx, v), (s, u, w) in tiles:
+                np.matmul(ce, xe, out=ev)
+                np.matmul(co, xo, out=od)
+                np.divide(1.0, t, out=s)
+                np.multiply(s, s, out=u)
+                q *= u                       # qh = N2 / tau^2
+                qx *= u
+                qx *= s                      # qh_x = N3 / tau^3
+                v *= u                       # vh / y
+                np.multiply(q, q, out=w)
+                row += (3.375 * (qx @ qx) + 13.5 * (w @ q) - 3.375 * (q @ q)
+                        - 2.25 * y * y * (v @ v))
             out[r] = row
 
 

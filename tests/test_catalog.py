@@ -160,6 +160,65 @@ class TestEnergy:
         with pytest.raises(ArithmeticError, match="tau vanishes"):
             cat.energy(rec, half_width=5.0, step=0.25)
 
+    @pytest.mark.parametrize("rid, value", [
+        ("lump2-bnew", -1.1206726003422744e-12),
+        ("pelin6-bnew", -1.0086053403078247e-11),
+        ("pelin12-corrected-bnew", -4.034421361229981e-11),
+    ])
+    def test_values_far_out(self, rid, value):
+        # R = 1e8, h = 1e7: the numerators of degree up to 3d - 3 stay in
+        # float range here; the values are those of the former ratio-form
+        # integrand, which combined the derivatives of tau at each node
+        assert cat.energy(CAT[rid], half_width=1e8, step=1e7) == pytest.approx(
+            value, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("window", [(1e10, 1e9), (1e30, 1e29)])
+    def test_window_past_float_range_raises(self, window):
+        # N3 of a degree-12 tau has degree 33: it overflows from |x| ~ 2e9,
+        # and at 1e30 so do the power tables themselves; either way the
+        # result is the ArithmeticError, not a RuntimeWarning
+        with pytest.raises(ArithmeticError, match="tau vanishes"):
+            cat.energy(CAT["pelin12-corrected-bnew"], *window)
+
+
+EVEN_IDS = [rid for rid, rec in CAT.items() if not rec.params
+            and all(i % 2 == 0 and j % 2 == 0 for (i, j) in rec.tau().terms)]
+
+
+class TestEnergyNumerators:
+    """The exact numerators of the energy integrand."""
+
+    def test_even_records(self):
+        assert EVEN_IDS == ["lump2", "pelin6", "pelin12", "pelin12-corrected",
+                            "lump2-bnew", "pelin6-bnew", "pelin12-corrected-bnew"]
+
+    @pytest.mark.parametrize("rid", EVEN_IDS)
+    def test_hirota_forms_equal_product_forms(self, rid):
+        tau = CAT[rid].tau()
+        t_x, t_y = tau.diff("x"), tau.diff("y")
+        t_xx, t_xy = t_x.diff("x"), t_x.diff("y")
+        n2, n3, nv = cat._energy_numerators(tau)
+        assert n2 == tau * t_xx - t_x * t_x
+        assert nv == tau * t_xy - t_x * t_y
+        assert n3 == (tau * tau * t_xx.diff("x")
+                      - (tau * t_x * t_xx).scale(3) + (t_x * t_x * t_x).scale(2))
+
+    @pytest.mark.parametrize("rid", ["lump2-bnew", "pelin6-bnew"])
+    def test_quotients_are_log_derivatives(self, rid):
+        sympy = pytest.importorskip("sympy")
+        x, y = sympy.symbols("x y")
+
+        def expr(p):
+            return sum(sympy.Rational(c.re.numerator, c.re.denominator)
+                       * x ** i * y ** j for (i, j), c in p.terms.items())
+
+        tau = CAT[rid].tau()
+        n2, n3, nv = (expr(p) for p in cat._energy_numerators(tau))
+        t, log_t = expr(tau), sympy.log(expr(tau))
+        assert sympy.cancel(n2 / t ** 2 - sympy.diff(log_t, x, 2)) == 0
+        assert sympy.cancel(n3 / t ** 3 - sympy.diff(log_t, x, 3)) == 0
+        assert sympy.cancel(nv / t ** 2 - sympy.diff(log_t, x, y)) == 0
+
 
 #: (x^2 + 1)(y^2 - 4.375^2): zero on grid row 17 (y = 4.375) of the R = 5,
 #: h = 0.25 quadrant, which lies in the last band for 2 or 3 workers

@@ -446,6 +446,24 @@ class TestEnergyAndDegree:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
+    @pytest.mark.parametrize("window", [("1e30", "1e29"), ("1e10", "1e9")])
+    def test_energy_past_float_range_exits_one_silently(self, window):
+        # a fresh interpreter, so numpy warnings reach stderr unfiltered:
+        # at 1e30 the power tables overflow, at 1e10 the degree-33 numerator
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        proc = subprocess.run(
+            [sys.executable, "-m", "lumps.cli", "energy", "--tau",
+             "pelin12-corrected-bnew", "--half-width", window[0], "--step",
+             window[1]], capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 1
+        assert proc.stderr == ""
+        results = json.loads(proc.stdout)["results"]
+        assert "tau vanishes (or overflows)" in results["error"]
+        assert "H" not in results
+
     def test_degree_negative_k_is_usage_error(self, capsys):
         code, report, err = run(capsys, "degree", "--k=-2")
         assert code == 2
