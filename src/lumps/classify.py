@@ -87,11 +87,16 @@ def _definitional(n: int, i: int, j: int, operator_orders, r_power: int) -> Frac
     quotient = acted.divide_exact(g_poly(r_power, 0))
     # g_i is even in x and in y, and so are the orders (2,0), (0,2) and (4,0),
     # so every exponent of the quotient is even: at x^2 = -1, y^2 = 1 the
-    # term c x^a y^b is (-1)^(a/2) c
-    value = sum((-c if a % 4 else c for (a, _), c in quotient.terms.items()), QQi())
-    if not value.is_real():
+    # term c x^a y^b is (-1)^(a/2) c; summed here on the numerators over den
+    den, num = quotient.numerators()
+    re = im = 0
+    for (a, _), (r, m) in num.items():
+        if a % 4:
+            r, m = -r, -m
+        re, im = re + r, im + m
+    if im:
         raise ArithmeticError("definitional quotient produced a non-real value")
-    return value.re
+    return Fraction(re, den)
 
 
 def d_ij_definitional(n: int, i: int, j: int) -> Fraction:

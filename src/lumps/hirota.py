@@ -9,10 +9,12 @@ Both axes of D1^a D2^b act on monomials in closed form:
 
 (``hirota_axis_coeff``).  By bilinearity D1^a D2^b f.g is one pass over the
 pairs of terms of f and g, each pair written straight to its output
-monomial.  The pass runs on integer-scaled coefficients: f and g are brought
-to common denominators, so inside the loop every coefficient is a Gaussian
-integer, and the result is divided back once.  A(order, u, v) = 0 whenever
-u, v >= 0 and u + v < order, so no pair lands on a negative exponent.
+monomial.  The pass runs on the stored numerators of f and g (Gaussian
+integers over one denominator each, ``ExactPoly.numerators``), so inside the
+loop every coefficient is a Gaussian integer; the result's denominator is
+the product of theirs and that of the form weights.  A(order, u, v) = 0
+whenever u, v >= 0 and u + v < order, so no pair lands on a negative
+exponent.
 
 Before the pass, each axis coefficient a call needs is laid out in rows:
 per distinct order and distinct exponent of f on that axis, one list over
@@ -41,7 +43,7 @@ from functools import lru_cache
 from math import comb
 from typing import Sequence, Tuple
 
-from .polyring import ONE, Basis, ExactPoly, QQi, _from_scaled, _scaled
+from .polyring import ONE, Basis, ExactPoly, QQi, _reduced, _scaled
 
 
 def _bilinear(terms, f: ExactPoly, g: ExactPoly, symmetric: bool) -> ExactPoly:
@@ -56,20 +58,19 @@ def _bilinear(terms, f: ExactPoly, g: ExactPoly, symmetric: bool) -> ExactPoly:
     indexings per order.  ``symmetric`` (g is f, every order of even total)
     visits each unordered pair once and doubles the off-diagonal ones.
     """
-    den_f, fs = _scaled(f._terms.values())
-    den_g, gs = (den_f, fs) if symmetric else _scaled(g._terms.values())
+    den_f, fnum = f.numerators()
+    den_g, gnum = g.numerators()
     # position of each distinct exponent of g on each axis
     px, py = {}, {}
-    for i, j in g._terms:
+    for i, j in gnum:
         px.setdefault(i, len(px))
         py.setdefault(j, len(py))
-    gs = [(px[i], py[j], i, j, r, m) for (i, j), (r, m) in zip(g._terms, gs)]
+    gs = [(px[i], py[j], i, j, r, m) for (i, j), (r, m) in gnum.items()]
     fs = ([(i, j, r, m) for _, _, i, j, r, m in gs] if symmetric else
-          [(i, j, r, m) for (i, j), (r, m) in zip(f._terms, fs)])
+          [(i, j, r, m) for (i, j), (r, m) in fnum.items()])
     # the distinct exponents of f on each axis, and the distinct orders
     fx, fy = (px, py) if symmetric else (
-        dict.fromkeys(i for i, _ in f._terms),
-        dict.fromkeys(j for _, j in f._terms))
+        dict.fromkeys(i for i, _ in fnum), dict.fromkeys(j for _, j in fnum))
     axis = hirota_axis_coeff
     # A(0, u, v) = 1
     xrows = {a: {u: [axis(a, u, v) for v in px] if a else [1] * len(px)
@@ -105,7 +106,8 @@ def _bilinear(terms, f: ExactPoly, g: ExactPoly, symmetric: bool) -> ExactPoly:
             m = acc_im[key]
             re[key] = re.get(key, 0) + wr * r - wm * m
             im[key] = im.get(key, 0) + wr * m + wm * r
-    return _from_scaled(re, im, den_f * den_g * den_w, f.basis)
+    return _reduced({key: (r, im[key]) for key, r in re.items()},
+                    den_f * den_g * den_w, f.basis)
 
 
 def hirota_d(a: int, b: int, f: ExactPoly, g: ExactPoly) -> ExactPoly:

@@ -1,7 +1,12 @@
 """Exact sparse bivariate polynomial arithmetic over the Gaussian rationals.
 
-A polynomial is a dictionary mapping exponent pairs ``(i, j)`` to ``QQi``
-coefficients (complex numbers with ``Fraction`` real and imaginary parts).
+A polynomial is stored as Gaussian-integer numerators over one denominator:
+a dictionary mapping exponent pairs ``(i, j)`` to nonzero pairs ``(re, im)``
+of ints, and a positive int ``den``, with gcd(den, every re, every im) = 1.
+That form is unique, so equality and hashing are structural.  ``QQi``
+(complex numbers with ``Fraction`` real and imaginary parts) is the type at
+the edge: coefficients given to the constructor, ``terms``, ``coeff``, the
+interchange format and ``repr``.
 Every polynomial carries a basis tag: either the real coordinates ``(x, y)``
 or the complex coordinates ``(z, zbar)`` with ``z = x + iy``.  All arithmetic
 is exact; nothing in this module touches floating point.
@@ -15,11 +20,9 @@ Conversion between the two bases is the exact linear substitution
 
 and its inverse ``z = x + iy``, ``zbar = x - iy``; round trips are identities.
 
-Products, basis conversion, exact division and the square substitution run
-on integer-scaled coefficients: the QQi coefficients are brought to one
-common denominator, the inner loops work on Gaussian-integer numerators,
-and the result is divided back once.  QQi stays the coefficient type of
-every polynomial.
+Every operation reads and writes numerators: sums over the lcm of the two
+denominators, products and the Hirota kernel over their product, and each
+result is reduced once by ``_reduced``.
 """
 
 from __future__ import annotations
@@ -28,7 +31,8 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import lcm
+from itertools import chain
+from math import gcd, lcm
 from typing import Mapping, Union
 
 Rat = Union[int, Fraction]
@@ -121,11 +125,12 @@ class QQi:
     @staticmethod
     def from_json(obj: "str | int | dict") -> "QQi":
         if isinstance(obj, dict):
+            if not obj.keys() <= {"re", "im"}:
+                raise ValueError(f"coefficient keys must be re, im; got {sorted(obj)}")
             return QQi(Fraction(str(obj["re"])), Fraction(str(obj.get("im", 0))))
         return QQi(Fraction(str(obj)))
 
 
-ZERO = QQi()
 ONE = QQi(Fraction(1))
 
 
@@ -150,25 +155,31 @@ def _axis_index(basis: Basis, var: "int | str") -> int:
 
 
 class ExactPoly:
-    """Immutable sparse bivariate polynomial with QQi coefficients.
+    """Immutable sparse bivariate polynomial over the Gaussian rationals.
 
-    ``terms`` maps exponent pairs to nonzero coefficients; the zero
-    polynomial has an empty term map.  Instances are value-like: share
-    them freely, never mutate them.
+    ``_num`` maps exponent pairs to nonzero Gaussian-integer numerators
+    ``(re, im)`` over the one denominator ``_den``, in the canonical form of
+    the module docstring; the zero polynomial has an empty map and den 1.
+    ``terms`` gives the QQi coefficients, in the stored order.  Instances are
+    value-like: share them freely, never mutate them.
     """
 
-    __slots__ = ("basis", "_terms")
+    __slots__ = ("basis", "_den", "_num")
 
     def __init__(self, terms: Mapping[tuple, "QQi | Rat"], basis: Basis = Basis.XY):
-        clean = {}
+        keys, coeffs = [], []
         for (i, j), c in terms.items():
+            key = (int(i), int(j))
+            if key != (i, j):
+                raise ValueError(f"non-integral exponent in term ({i},{j})")
             if i < 0 or j < 0:
                 raise ValueError(f"negative exponent in term ({i},{j})")
-            q = QQi.of(c)
-            if not q.is_zero():
-                clean[(int(i), int(j))] = q
+            keys.append(key)
+            coeffs.append(c if isinstance(c, (int, Fraction, QQi)) else QQi.of(c))
+        den, scaled = _scaled(coeffs)
         self.basis = basis
-        self._terms = clean
+        self._den = den  # the lcm of reduced denominators: gcd(den, nums) = 1
+        self._num = {k: c for k, c in zip(keys, scaled) if c[0] or c[1]}
 
     # -- constructors -------------------------------------------------
 
@@ -188,46 +199,54 @@ class ExactPoly:
 
     @property
     def terms(self) -> dict:
-        return dict(self._terms)
+        den = self._den
+        return {key: QQi(Fraction(r, den), Fraction(m, den))
+                for key, (r, m) in self._num.items()}
 
     def coeff(self, i: int, j: int) -> QQi:
-        return self._terms.get((i, j), ZERO)
+        r, m = self._num.get((i, j), (0, 0))
+        return QQi(Fraction(r, self._den), Fraction(m, self._den))
+
+    def numerators(self) -> tuple:
+        """(den, {(i, j): (re, im)}): the stored form, for the exact kernels;
+        the map is shared and must not be mutated."""
+        return self._den, self._num
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._num
 
     def total_degree(self) -> int:
         """Max of i+j over stored terms; the zero polynomial has degree 0."""
-        if not self._terms:
+        if not self._num:
             return 0
-        return max(i + j for (i, j) in self._terms)
+        return max(i + j for (i, j) in self._num)
 
     def degree_in(self, axis: int) -> int:
-        if not self._terms:
+        if not self._num:
             return 0
-        return max(key[axis] for key in self._terms)
+        return max(key[axis] for key in self._num)
 
     def num_terms(self) -> int:
-        return len(self._terms)
+        return len(self._num)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExactPoly):
             return NotImplemented
-        return self.basis is other.basis and self._terms == other._terms
+        return (self.basis is other.basis and self._den == other._den
+                and self._num == other._num)
 
     def __hash__(self):
-        return hash((self.basis, frozenset(self._terms.items())))
+        return hash((self.basis, self._den, frozenset(self._num.items())))
 
     def __repr__(self) -> str:
-        if not self._terms:
+        if not self._num:
             return f"ExactPoly(0, {self.basis.value})"
         vx, vy = self.basis.axes
         parts = []
-        for (i, j) in sorted(self._terms, key=lambda k: (-(k[0] + k[1]), -k[0])):
-            c = self._terms[(i, j)]
+        for (i, j) in sorted(self._num, key=lambda k: (-(k[0] + k[1]), -k[0])):
             mon = "".join(
                 f"*{v}^{e}" for v, e in ((vx, i), (vy, j)) if e)
-            parts.append(f"({c}){mon}")
+            parts.append(f"({self.coeff(i, j)}){mon}")
         return " + ".join(parts)
 
     # -- ring operations ----------------------------------------------
@@ -240,39 +259,39 @@ class ExactPoly:
 
     def __add__(self, other: "ExactPoly") -> "ExactPoly":
         self._require_same_basis(other, "add")
-        out = dict(self._terms)
-        for key, c in other._terms.items():
-            s = out.get(key, ZERO) + c
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return ExactPoly(out, self.basis)
+        den = lcm(self._den, other._den)
+        ka, kb = den // self._den, den // other._den
+        out = {key: (r * ka, m * ka) for key, (r, m) in self._num.items()}
+        for key, (r, m) in other._num.items():
+            ar, am = out.get(key, (0, 0))
+            out[key] = (ar + r * kb, am + m * kb)
+        return _reduced(out, den, self.basis)
 
     def __sub__(self, other: "ExactPoly") -> "ExactPoly":
         return self + (-other)
 
     def __neg__(self) -> "ExactPoly":
-        return ExactPoly({k: -c for k, c in self._terms.items()}, self.basis)
+        return _reduced({k: (-r, -m) for k, (r, m) in self._num.items()},
+                        self._den, self.basis)
 
     def __mul__(self, other: "ExactPoly") -> "ExactPoly":
         self._require_same_basis(other, "multiply")
-        den_a, a = _scaled(self._terms.values())
-        den_b, b = _scaled(other._terms.values())
+        b = other._num.items()
         re: dict = {}
         im: dict = {}
-        for (i1, j1), (r1, m1) in zip(self._terms, a):
-            for (i2, j2), (r2, m2) in zip(other._terms, b):
+        for (i1, j1), (r1, m1) in self._num.items():
+            for (i2, j2), (r2, m2) in b:
                 key = (i1 + i2, j1 + j2)
                 re[key] = re.get(key, 0) + r1 * r2 - m1 * m2
                 im[key] = im.get(key, 0) + r1 * m2 + m1 * r2
-        return _from_scaled(re, im, den_a * den_b, self.basis)
+        return _reduced({key: (r, im[key]) for key, r in re.items()},
+                        self._den * other._den, self.basis)
 
     def scale(self, c: "QQi | Rat") -> "ExactPoly":
-        q = QQi.of(c)
-        if q.is_zero():
-            return ExactPoly.zero(self.basis)
-        return ExactPoly({k: v * q for k, v in self._terms.items()}, self.basis)
+        den_c, ((cr, cm),) = _scaled((QQi.of(c),))
+        return _reduced({k: (r * cr - m * cm, r * cm + m * cr)
+                         for k, (r, m) in self._num.items()},
+                        self._den * den_c, self.basis)
 
     def __pow__(self, n: int) -> "ExactPoly":
         if n < 0:
@@ -293,26 +312,23 @@ class ExactPoly:
         if order < 0:
             raise ValueError("derivative order must be >= 0")
         axis = _axis_index(self.basis, var)
-        poly = self
+        num = self._num
         for _ in range(order):
             out = {}
-            for (i, j), c in poly._terms.items():
+            for (i, j), (r, m) in num.items():
                 e = (i, j)[axis]
-                if e == 0:
-                    continue
-                key = (i - 1, j) if axis == 0 else (i, j - 1)
-                out[key] = out.get(key, ZERO) + c * e
-            poly = ExactPoly(out, self.basis)
-            if poly.is_zero():
-                break
-        return poly
+                if e:
+                    out[(i - 1, j) if axis == 0 else (i, j - 1)] = (r * e, m * e)
+            num = out
+        return _reduced(num, self._den, self.basis)
 
     # -- evaluation ---------------------------------------------------
 
     def eval_complex(self, a: complex, b: complex) -> complex:
-        total = 0j
-        for (i, j), c in self._terms.items():
-            total += complex(c) * (a ** i) * (b ** j)
+        total, den = 0j, self._den
+        for (i, j), (r, m) in self._num.items():
+            # r / den is float(Fraction(r, den)): both round the same rational
+            total += complex(r / den, m / den) * (a ** i) * (b ** j)
         return total
 
     # -- exact division -----------------------------------------------
@@ -324,11 +340,13 @@ class ExactPoly:
         If the division leaves a nonzero remainder, ExactDivisionError is
         raised carrying that remainder.
 
-        The remainder is held as Gaussian-integer numerators over one
-        denominator.  Each step forms one QQi quotient of the leading terms;
-        when its denominator times the divisor's does not divide the
-        remainder's, the remainder is rescaled to their lcm (never for a
-        monic divisor with integer coefficients).
+        The remainder, the quotient and the stuck terms are held as
+        numerators over one den; the divisor's leading coefficient is g0/den_g
+        with N = |g0|^2.  Each step rescales all three by N, so the quotient
+        term is R conj(g0) den_g for the remainder's leading numerator R, and
+        the divisor's other numerators times R conj(g0) are subtracted as
+        integers.  For a unit g0 (N = 1, as for every power of x^2 + y^2) the
+        rescaling is skipped.
         """
         self._require_same_basis(divisor, "divide")
         if divisor.is_zero():
@@ -337,50 +355,43 @@ class ExactPoly:
         def order_key(key):
             return (key[0] + key[1], key[0])
 
-        lead_g = max(divisor._terms, key=order_key)
-        cg = divisor._terms[lead_g]
-        den_g, gs = _scaled(divisor._terms.values())
-        tail = [(key, g) for key, g in zip(divisor._terms, gs) if key != lead_g]
-        den, scaled = _scaled(self._terms.values())
-        re = dict(zip(self._terms, (r for r, _ in scaled)))
-        im = dict(zip(self._terms, (m for _, m in scaled)))
+        lead_g = max(divisor._num, key=order_key)
+        gr0, gm0 = divisor._num[lead_g]
+        norm, den_g = gr0 * gr0 + gm0 * gm0, divisor._den
+        tail = [(key, g) for key, g in divisor._num.items() if key != lead_g]
+        den = self._den
+        rem = dict(self._num)
         quot: dict = {}
         stuck: dict = {}
-        while re:
-            lead_r = max(re, key=order_key)
-            cr = QQi(Fraction(re.pop(lead_r), den), Fraction(im.pop(lead_r), den))
+        while rem:
+            lead_r = max(rem, key=order_key)
+            rr, rm = rem.pop(lead_r)
             di, dj = lead_r[0] - lead_g[0], lead_r[1] - lead_g[1]
             if di < 0 or dj < 0:
-                stuck[lead_r] = cr
+                stuck[lead_r] = (rr, rm)
                 continue
-            factor = cr / cg
-            quot[(di, dj)] = factor
-            den_f, ((fr, fm),) = _scaled((factor,))
-            step = den_f * den_g
-            if den % step:
-                new = lcm(den, step)
-                k = new // den
-                re = {key: r * k for key, r in re.items()}
-                im = {key: m * k for key, m in im.items()}
-                den = new
-            k = den // step
-            fr, fm = fr * k, fm * k
+            if norm != 1:
+                rem, quot, stuck = (
+                    {key: (r * norm, m * norm) for key, (r, m) in part.items()}
+                    for part in (rem, quot, stuck))
+                den *= norm
+            fr, fm = rr * gr0 + rm * gm0, rm * gr0 - rr * gm0  # R conj(g0)
+            quot[(di, dj)] = (fr * den_g, fm * den_g)
             # the leading term cancels by construction; subtract the rest
             for (gi, gj), (gr, gm) in tail:
                 key = (gi + di, gj + dj)
-                r = re.get(key, 0) - (fr * gr - fm * gm)
-                m = im.get(key, 0) - (fr * gm + fm * gr)
+                r, m = rem.get(key, (0, 0))
+                r, m = r - (fr * gr - fm * gm), m - (fr * gm + fm * gr)
                 if r or m:
-                    re[key], im[key] = r, m
+                    rem[key] = (r, m)
                 else:
-                    re.pop(key, None)
-                    im.pop(key, None)
+                    rem.pop(key, None)
         if stuck:
-            remainder = ExactPoly(stuck, self.basis)
+            remainder = _reduced(stuck, den, self.basis)
             raise ExactDivisionError(
                 f"polynomial division is not exact; remainder has "
                 f"{remainder.num_terms()} term(s)", remainder)
-        return ExactPoly(quot, self.basis)
+        return _reduced(quot, den, self.basis)
 
     # -- basis conversion ---------------------------------------------
 
@@ -428,13 +439,11 @@ class ExactPoly:
         total = self.total_degree()
         pow_first = powers(first, self.degree_in(0))
         pow_second = powers(second, self.degree_in(1))
-        den_c, scaled = _scaled(self._terms.values())
-        coeffs = dict(zip(self._terms, scaled))
         re: dict = {}
         im: dict = {}
-        for (i, j) in sorted(coeffs):
+        for (i, j) in sorted(self._num):
             k = den ** (total - i - j)
-            cr, cm = coeffs[(i, j)]
+            cr, cm = self._num[(i, j)]
             cr, cm = cr * k, cm * k
             pr, pm = {}, {}  # first^i second^j, by exponent of the second variable
             for a, (ar, am) in enumerate(pow_first[i]):
@@ -453,22 +462,28 @@ class ExactPoly:
                 else:
                     re.pop(key, None)
                     im.pop(key, None)
-        return _from_scaled(re, im, den_c * den ** total, target)
+        return _reduced({key: (r, im[key]) for key, r in re.items()},
+                        self._den * den ** total, target)
 
     # -- serialization ------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        terms = [[i, j, self._terms[(i, j)].to_json()]
-                 for (i, j) in sorted(self._terms)]
+        terms = [[i, j, self.coeff(i, j).to_json()] for (i, j) in sorted(self._num)]
         return {"basis": self.basis.value, "terms": terms}
 
     @staticmethod
     def from_json_dict(obj: dict) -> "ExactPoly":
+        """Parse the interchange form; ValueError on an exponent that is not a
+        JSON integer (a float, string or boolean) or a repeated monomial."""
         basis = Basis(obj["basis"])
         terms = {}
         for entry in obj["terms"]:
             i, j, coeff = entry
-            terms[(int(i), int(j))] = QQi.from_json(coeff)
+            if type(i) is not int or type(j) is not int:
+                raise ValueError(f"exponents must be integers, got {i!r}, {j!r}")
+            if (i, j) in terms:
+                raise ValueError(f"repeated monomial ({i},{j})")
+            terms[(i, j)] = QQi.from_json(coeff)
         return ExactPoly(terms, basis)
 
     def dumps(self) -> str:
@@ -480,24 +495,29 @@ class ExactPoly:
 
 
 def _scaled(coeffs) -> tuple:
-    """(den, [(re, im), ...]): each QQi of coeffs as the Gaussian integer
-    re + im*i over one common denominator den > 0."""
-    coeffs = list(coeffs)
+    """(den, [(re, im), ...]): each coefficient (a QQi, int or Fraction) as the
+    Gaussian integer re + im*i over one common denominator den > 0, the lcm
+    of theirs."""
+    parts = [(c.re, c.im) if isinstance(c, QQi) else (c, 0) for c in coeffs]
     den = 1
-    for c in coeffs:
-        den = lcm(den, c.re.denominator, c.im.denominator)
-    return den, [(c.re.numerator * (den // c.re.denominator),
-                  c.im.numerator * (den // c.im.denominator)) for c in coeffs]
+    for re, im in parts:
+        den = lcm(den, re.denominator, im.denominator)
+    return den, [(re.numerator * (den // re.denominator),
+                  im.numerator * (den // im.denominator)) for re, im in parts]
 
 
-def _from_scaled(re: dict, im: dict, den: int, basis: Basis) -> ExactPoly:
-    """The polynomial with coefficients (re[k] + im[k]*i) / den; zeros dropped."""
-    out = {}
-    for key, r in re.items():
-        m = im[key]
-        if r or m:
-            out[key] = QQi(Fraction(r, den), Fraction(m, den))
-    return ExactPoly(out, basis)
+def _reduced(num: dict, den: int, basis: Basis) -> ExactPoly:
+    """The polynomial with coefficients num[key] / den in canonical form: the
+    zero entries dropped and gcd(den, every numerator) divided out."""
+    num = {key: c for key, c in num.items() if c[0] or c[1]}
+    if den != 1:
+        g = gcd(den, *chain.from_iterable(num.values()))
+        if g != 1:
+            den //= g
+            num = {key: (r // g, m // g) for key, (r, m) in num.items()}
+    poly = object.__new__(ExactPoly)
+    poly.basis, poly._den, poly._num = basis, den, num
+    return poly
 
 
 # -- convenience builders used throughout the test-suite and catalog ----

@@ -7,7 +7,8 @@ library's term-pair closed form, its axis coefficients or its
 integer-scaled coefficient path.
 
 The product oracle multiplies two polynomials term by term on a plain dict
-of QQi coefficients, with no common-denominator scaling.
+of QQi coefficients, with no common-denominator scaling; the sum, scale and
+derivative oracles do the same for f + g, c f and the power rule.
 
 The energy oracle sums the midpoint rule row by row over the whole square
 [-R, R]^2, with the textbook quotient formulas for q, q_x and v on the full
@@ -83,6 +84,32 @@ def product_oracle(f: ExactPoly, g: ExactPoly) -> ExactPoly:
         for (i2, j2), c2 in g.terms.items():
             key = (i1 + i2, j1 + j2)
             out[key] = out.get(key, QQi()) + c1 * c2
+    return ExactPoly(out, f.basis)
+
+
+def sum_oracle(f: ExactPoly, g: ExactPoly) -> ExactPoly:
+    """f + g term by term, in QQi arithmetic."""
+    assert f.basis is g.basis
+    out = f.terms
+    for key, c in g.terms.items():
+        out[key] = out.get(key, QQi()) + c
+    return ExactPoly(out, f.basis)
+
+
+def scale_oracle(f: ExactPoly, c: QQi) -> ExactPoly:
+    """c f, one QQi product per term."""
+    return ExactPoly({key: v * c for key, v in f.terms.items()}, f.basis)
+
+
+def diff_oracle(f: ExactPoly, axis: int, order: int) -> ExactPoly:
+    """The order-th partial derivative along axis 0 or 1 by the power rule,
+    one QQi product per term."""
+    out = {}
+    for (i, j), c in f.terms.items():
+        e = (i, j)[axis]
+        if e >= order:
+            key = (i - order, j) if axis == 0 else (i, j - order)
+            out[key] = c * Fraction(_falling(e, order))
     return ExactPoly(out, f.basis)
 
 

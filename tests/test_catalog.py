@@ -423,3 +423,34 @@ class TestCatalogDigests:
     def test_canonical_text(self):
         assert self.canonical(CAT["lump2"].tau()) == \
             "0 0 3 0\n0 2 1 0\n2 0 1 0"
+
+
+class TestTermOrder:
+    """tau, its (z, zbar) form, its residual under its own form and the three
+    energy numerators of every record (yang6 at a = 1/2, b = -3), as exact
+    values in stored term order.  The energy tables and the pole evaluation
+    read the terms in this order, so these digests also pin their float
+    inputs: with the same row code, ``energy`` gives the same floats."""
+
+    DIGESTS = {
+        "lump2": "9b2ab658f953229b48f46043633268d73f3d61f3fa16530935d04d09b3d8cae0",
+        "pelin6": "c3f3dd2252787e7127e990ab284fb4e420d763a546c8babec158ad788f9c2f48",
+        "yang6": "e8a0581d8d9c824859de3eec65d0d94e616e1a15a5e7a8b74d50118402d4eb7a",
+        "pelin12": "ff9e8641b934657bf25c2945a23a74a4180e3a273fb08d94652e27b2f6bb4a6c",
+        "pelin12-corrected": "19240cf5012e957664d55a0e40c31556d2bae05514a4364983555d71746240e7",
+        "lump2-bnew": "8b72cfa0ab6b9f713679a2c5fc098b4e8d59b723016466c7dba032b24c076639",
+        "pelin6-bnew": "42733ec8eedc5841c86a63d2526a5f816764ffa0a9bd7bbd19c09a3a308b603c",
+        "pelin12-corrected-bnew": "1486dd1227606c8a540ff825aede0c5afcf1d6c57d523dd556b2c2fc285f48a6",
+    }
+
+    def test_term_order_digests(self):
+        def text(poly):
+            return "\n".join(f"{i} {j} {c.re} {c.im}" for (i, j), c in poly.terms.items())
+
+        seen = {}
+        for rid, rec in CAT.items():
+            tau = rec.bind({"a": Fraction(1, 2), "b": Fraction(-3)}) if rec.params else rec.tau()
+            polys = [tau, tau.to_zzbar(), rec.form.residual(tau), *cat._energy_numerators(tau)]
+            seen[rid] = hashlib.sha256(
+                "\n\n".join(text(p) for p in polys).encode()).hexdigest()
+        assert seen == self.DIGESTS

@@ -83,8 +83,16 @@ class TestVerify:
         assert code == 0
         assert report["results"]["is_solution"] is True
 
-    @pytest.mark.parametrize("text", ["[1, 2]", '{"basis": "xy", "terms": 5}',
-                                      '{"basis": "xy", "terms": [[1e400, 0, "1"]]}'])
+    @pytest.mark.parametrize("text", [
+        "[1, 2]", '{"basis": "xy", "terms": 5}',
+        '{"basis": "xy", "terms": [[1e400, 0, "1"]]}',
+        # each of these once verified as some other polynomial: a truncated
+        # exponent, the last of two entries, false read as 0, an ignored key
+        '{"basis": "xy", "terms": [[2.5, 0, "1"], [0, 2, "1"], [0, 0, "3"]]}',
+        '{"basis": "xy", "terms": [[2, 0, "1"], [2, 0, "5"], [0, 2, "1"], [0, 0, "3"]]}',
+        '{"basis": "xy", "terms": [[2, 0, "1"], [0, 2, "1"], [false, false, "3"]]}',
+        '{"basis": "xy", "terms": [[2, 0, {"re": "1", "imag": "5"}], [0, 2, "1"], [0, 0, "3"]]}',
+    ])
     def test_malformed_structure_exits_two(self, capsys, tmp_path, text):
         path = tmp_path / "bad.json"
         path.write_text(text)

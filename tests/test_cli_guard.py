@@ -38,6 +38,10 @@ FILES = {
     "negative.json": '{"basis": "xy", "terms": [[-1, 0, "1"]]}',
     "huge.json": '{"basis": "xy", "terms": [[1e400, 0, "1"]]}',
     "nan.json": '{"basis": "xy", "terms": [[0, 0, NaN]]}',
+    "fraction.json": '{"basis": "xy", "terms": [[2.5, 0, "1"], [0, 2, "1"], [0, 0, "3"]]}',
+    "repeated.json": '{"basis": "xy", "terms": [[2, 0, "1"], [2, 0, "5"], [0, 2, "1"]]}',
+    "boolean.json": '{"basis": "xy", "terms": [[2, 0, "1"], [0, 2, "1"], [false, 0, "3"]]}',
+    "imag.json": '{"basis": "xy", "terms": [[2, 0, {"re": "1", "imag": "5"}]]}',
 }
 
 

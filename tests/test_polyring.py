@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -8,11 +9,13 @@ from hypothesis import strategies as st
 from conftest import (
     conjugate, exact_polys, gaussian_rationals, random_poly, wide_polys,
     wide_rationals, x_plus_iy_power)
+from lumps.hirota import STANDARD, hirota_d
 from lumps.polyring import (
-    Basis, BasisMismatchError, ExactDivisionError, ExactPoly, QQi,
+    ONE, Basis, BasisMismatchError, ExactDivisionError, ExactPoly, QQi,
     poly_xy, poly_zz, r_squared)
 from oracles import (
-    division_oracle, eval_oracle, product_oracle, substitute_oracle)
+    diff_oracle, division_oracle, eval_oracle, product_oracle, scale_oracle,
+    substitute_oracle, sum_oracle)
 
 
 class TestQQi:
@@ -194,6 +197,102 @@ class TestAgainstOracles:
                                   f"remainder has {rem.num_terms()} term(s)")
 
 
+def lead_norm(g):
+    """|g0|^2 of the graded-lex leading numerator g0 of g."""
+    _, num = g.numerators()
+    r, m = num[max(num, key=lambda k: (k[0] + k[1], k[0]))]
+    return r * r + m * m
+
+
+@st.composite
+def unit_lead_divisors(draw, basis):
+    """Divisors of degree 4 with Gaussian-integer numerators over a drawn
+    denominator and a unit (1, -1, i or -i) leading numerator."""
+    ints = st.integers(-10**20, 10**20)
+    terms = {}
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, 3))
+        j = draw(st.integers(0, 3 - i))
+        terms[(i, j)] = QQi(Fraction(draw(ints)), Fraction(draw(ints)))
+    i = draw(st.integers(0, 4))
+    terms[(i, 4 - i)] = draw(st.sampled_from(
+        [QQi(Fraction(1)), QQi(Fraction(-1)), QQi(Fraction(0), Fraction(1)),
+         QQi(Fraction(0), Fraction(-1))]))
+    return ExactPoly(terms, basis).scale(Fraction(1, draw(st.integers(1, 10**12))))
+
+
+any_polys = st.sampled_from(list(Basis)).flatmap(
+    lambda b: st.one_of(exact_polys(basis=b), wide_polys(basis=b)))
+
+
+def assert_canonical(p):
+    """gcd(den, every numerator) = 1, den > 0, no zero entry."""
+    den, num = p.numerators()
+    assert den > 0
+    assert all(r or m for r, m in num.values())
+    assert math.gcd(den, *(x for c in num.values() for x in c)) == 1
+
+
+def same_terms(got, want):
+    """Equal values in the same term order."""
+    assert list(got.terms.items()) == list(want.terms.items())
+
+
+class TestStoredForm:
+    @settings(max_examples=80)
+    @given(any_polys, any_polys, gaussian_rationals())
+    def test_every_operation_is_canonical(self, f, g, c):
+        g = ExactPoly(g.terms, f.basis)
+        results = [f, f + g, f - g, f - f, -f, f * g, f ** 2, f.scale(c),
+                   f.diff(0), f.diff(1, 2), hirota_d(2, 1, f, g),
+                   f.to_zzbar() if f.basis is Basis.XY else f.to_xy()]
+        if not g.is_zero():
+            results.append((f * g).divide_exact(g))
+        if f.basis is Basis.XY:
+            results.append(STANDARD.residual(f))
+        for p in results:
+            assert_canonical(p)
+
+    @settings(max_examples=80)
+    @given(any_polys)
+    def test_terms_rebuild_the_same_polynomial(self, p):
+        q = ExactPoly(p.terms, p.basis)
+        assert q == p and hash(q) == hash(p)
+        same_terms(q, p)
+
+    @settings(max_examples=80)
+    @given(any_polys, any_polys, gaussian_rationals())
+    def test_inverse_operations(self, p, q, c):
+        q = ExactPoly(q.terms, p.basis)
+        assert p + q - q == p
+        if not c.is_zero():
+            assert p.scale(c).scale(ONE / c) == p
+
+    @settings(max_examples=80)
+    @given(any_polys, any_polys, gaussian_rationals(), st.integers(0, 1),
+           st.integers(0, 3))
+    def test_operations_match_term_oracles(self, f, g, c, axis, order):
+        g = ExactPoly(g.terms, f.basis)
+        same_terms(f + g, sum_oracle(f, g))
+        same_terms(f - g, sum_oracle(f, scale_oracle(g, QQi(Fraction(-1)))))
+        same_terms(-f, scale_oracle(f, QQi(Fraction(-1))))
+        same_terms(f.scale(c), scale_oracle(f, c))
+        same_terms(f * g, product_oracle(f, g))
+        same_terms(f ** 2, product_oracle(f, f))
+        same_terms(f.diff(axis, order), diff_oracle(f, axis, order))
+
+    @settings(max_examples=60)
+    @given(st.sampled_from(list(Basis)), st.booleans(), st.data())
+    def test_mul_then_divide_for_unit_and_other_leads(self, basis, unit, data):
+        g = data.draw(unit_lead_divisors(basis) if unit else complex_lead_divisors(basis))
+        assert (lead_norm(g) == 1) == unit
+        p = data.draw(wide_polys(basis=basis, max_degree=3, max_terms=3))
+        f = p * g
+        got = f.divide_exact(g)
+        assert got == p
+        same_terms(got, division_oracle(f, g)[0])
+
+
 class TestDivideExact:
     def test_difference_of_fourth_powers(self):
         f = poly_xy({(4, 0): 1, (0, 4): -1})
@@ -257,3 +356,19 @@ class TestInterchange:
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError):
             ExactPoly({(-1, 0): 1}, Basis.XY)
+
+    def test_non_integral_exponent_rejected(self):
+        with pytest.raises(ValueError, match="non-integral exponent"):
+            ExactPoly({(2.5, 0): 1}, Basis.XY)
+        assert ExactPoly({(2.0, 0): 1}, Basis.XY) == poly_xy({(2, 0): 1})
+
+    @pytest.mark.parametrize("terms, reason", [
+        ([[2.5, 0, "1"]], "exponents must be integers"),
+        ([["2", 0, "1"]], "exponents must be integers"),
+        ([[True, 0, "1"]], "exponents must be integers"),
+        ([[2, 0, "1"], [2, 0, "5"]], "repeated monomial"),
+        ([[2, 0, {"re": "1", "imag": "5"}]], "coefficient keys"),
+    ])
+    def test_malformed_interchange_rejected(self, terms, reason):
+        with pytest.raises(ValueError, match=reason):
+            ExactPoly.from_json_dict({"basis": "xy", "terms": terms})
