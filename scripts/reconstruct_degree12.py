@@ -37,7 +37,7 @@ def corrected_candidates(printed_zz, R0):
         E = poly_zz({(a, b): 1, (b, a): 1}).to_xy()
         quad = STANDARD.residual(E)
         lin = STANDARD.pairing(tau0, E).scale(2)
-        key = next(iter(sorted(lin.terms)), None)
+        key = min(lin.numerators()[1], default=None)
         if key is None:
             continue
         q, l, r = quad.coeff(*key).re, lin.coeff(*key).re, R0.coeff(*key).re

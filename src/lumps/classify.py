@@ -18,9 +18,11 @@ implemented:
 Pair-counting convention: all quadratic sums run over ordered pairs (i, j).
 Terms containing the step's unknown move to the left-hand side; in the
 symmetric chains the unknown appears twice, which is where the doubled
-left-hand constants come from.  The calibration anchors are the triangular
-zero set of J_n, the identity sigma_1 = (n - n^2)/2, and the seven printed
-gamma values at n = 15, all of which are pinned in the test-suite.
+left-hand constants come from.  Counting unordered pairs instead makes J_6
+nonzero although 6 is triangular, which the test-suite pins on its chain
+oracle.  The calibration anchors are the triangular zero set of J_n, the
+identity sigma_1 = (n - n^2)/2 and the seven printed gamma values at n = 15,
+all pinned in the test-suite.
 
 The a/J and sigma summands are symmetric under i <-> j (d, C4 and the
 Dz Dzbar eigenfactor depend on (i - j)^2, and i + j is fixed in a step), so
@@ -40,7 +42,7 @@ from functools import lru_cache
 from typing import Dict, List, Optional, Sequence
 
 from . import hirota
-from .polyring import ExactPoly, QQi, poly_xy
+from .polyring import ExactPoly, poly_xy
 
 # ---------------------------------------------------------------------------
 # closed-form structure constants (p_ij keeps its lru_cache: the perfbench
@@ -78,13 +80,15 @@ def g_poly(n: int, j: int) -> ExactPoly:
                     for t in range(k + 1)})
 
 
-def _definitional(n: int, i: int, j: int, operator_orders, r_power: int) -> Fraction:
+_DX2_DY2 = hirota.BilinearForm("dx2+dy2", ((1, 2, 0), (1, 0, 2)))
+_DX4 = hirota.BilinearForm("dx4", ((1, 4, 0),))
+
+
+def _definitional(n: int, i: int, j: int, form, r_power: int) -> Fraction:
     if r_power < 0:
         raise ValueError(
             f"definitional quotient undefined: divisor exponent {r_power} < 0")
-    terms = tuple((QQi.of(Fraction(w)), a, b) for w, a, b in operator_orders)
-    acted = hirota._bilinear(terms, g_poly(n, i), g_poly(n, j), symmetric=False)
-    quotient = acted.divide_exact(g_poly(r_power, 0))
+    quotient = form.pairing(g_poly(n, i), g_poly(n, j)).divide_exact(g_poly(r_power, 0))
     # g_i is even in x and in y, and so are the orders (2,0), (0,2) and (4,0),
     # so every exponent of the quotient is even: at x^2 = -1, y^2 = 1 the
     # term c x^a y^b is (-1)^(a/2) c; summed here on the numerators over den
@@ -101,12 +105,12 @@ def _definitional(n: int, i: int, j: int, operator_orders, r_power: int) -> Frac
 
 def d_ij_definitional(n: int, i: int, j: int) -> Fraction:
     """(Dx^2+Dy^2) g_i.g_j / (x^2+y^2)^{2n-3i-3j-1} at x^2 = -1, y^2 = 1."""
-    return _definitional(n, i, j, ((1, 2, 0), (1, 0, 2)), 2 * n - 3 * i - 3 * j - 1)
+    return _definitional(n, i, j, _DX2_DY2, 2 * n - 3 * i - 3 * j - 1)
 
 
 def p_ij_definitional(n: int, i: int, j: int) -> Fraction:
     """Dx^4 g_i.g_j / (x^2+y^2)^{2n-3i-3j-4} at x^2 = -1, y^2 = 1."""
-    return _definitional(n, i, j, ((1, 4, 0),), 2 * n - 3 * i - 3 * j - 4)
+    return _definitional(n, i, j, _DX4, 2 * n - 3 * i - 3 * j - 4)
 
 
 # ---------------------------------------------------------------------------
@@ -140,64 +144,47 @@ def _dz_dzbar(q2: int, k: int, m: int) -> int:
 # ---------------------------------------------------------------------------
 # J route
 
-PairConvention = str  # "ordered" | "unordered"
-
-#: weight of an off-diagonal pair (i < j) under each convention; a diagonal
-#: pair (i, i) has weight 1 under both
-_OFF_DIAGONAL_WEIGHT = {"ordered": 2, "unordered": 1}
-
-
-def _off_diagonal_weight(convention: PairConvention) -> int:
-    try:
-        return _OFF_DIAGONAL_WEIGHT[convention]
-    except KeyError:
-        raise ValueError(f"unknown pair convention {convention!r}") from None
-
-
-def _pairs(total: int, off: int):
+def _pairs(total: int):
     """(i, j, weight) for the pairs i <= j with i + j = total.
 
-    The weight is 1 on the diagonal and ``off`` elsewhere: 2 folds the
-    ordered pairs (i, j) and (j, i) into one term, 1 counts unordered pairs.
+    The weight is 1 on the diagonal and 2 elsewhere, which folds the ordered
+    pairs (i, j) and (j, i) into one term.
     """
-    return [(i, total - i, off if 2 * i != total else 1)
+    return [(i, total - i, 2 if 2 * i != total else 1)
             for i in range(total // 2 + 1)]
 
 
-def a_seq(n: int, m_max: Optional[int] = None,
-          convention: PairConvention = "ordered") -> List[Fraction]:
+def a_seq(n: int, m_max: Optional[int] = None) -> List[Fraction]:
     """a_0 .. a_{m_max} of the leading-chain recursion (a_0 = 1).
 
     Each a_m is the unique solution of the degree-(4n-4m) slice equation
     sum_{i+j=m-1} a_i a_j p(n, i, j) = sum_{i+j=m} a_i a_j d(i, j); the
-    unknown's coefficient is (multiplicity) * d(0, m), never zero for m >= 1,
-    where the multiplicity is the weight of the pair (0, m).
+    unknown's coefficient is 2 d(0, m) (the ordered pairs (0, m) and (m, 0)),
+    never zero for m >= 1.
     """
-    off = _off_diagonal_weight(convention)
     if m_max is None:
         m_max = n // 3
     a, s, den = [Fraction(1)], [1], 1  # a[i] = s[i] / den
     for m in range(1, m_max + 1):
         total = 0  # over den**2
-        for i, j, w in _pairs(m, off):
-            if i:  # the pair (0, m), of weight off, carries the unknown a_m
+        for i, j, w in _pairs(m):
+            if i:  # the pair (0, m) carries the unknown a_m
                 total -= w * d_ij(i, j) * s[i] * s[j]
-        for i, j, w in _pairs(m - 1, off):
+        for i, j, w in _pairs(m - 1):
             total += w * p_ij(n, i, j) * s[i] * s[j]
-        den = _push(a, s, den, Fraction(total, off * d_ij(0, m) * den * den))
+        den = _push(a, s, den, Fraction(total, 2 * d_ij(0, m) * den * den))
     return a
 
 
-def j_obstruction(n: int, convention: PairConvention = "ordered") -> Fraction:
+def j_obstruction(n: int) -> Fraction:
     """J_n: the terminal slice mismatch with indices capped at floor(n/3)."""
-    off = _off_diagonal_weight(convention)
     cap = n // 3
-    den, s = _over_lcm(a_seq(n, cap, convention))
+    den, s = _over_lcm(a_seq(n, cap))
     total = 0
-    for i, j, w in _pairs(cap + 1, off):
+    for i, j, w in _pairs(cap + 1):
         if j <= cap:
             total += w * d_ij(i, j) * s[i] * s[j]
-    for i, j, w in _pairs(cap, off):
+    for i, j, w in _pairs(cap):
         total -= w * p_ij(n, i, j) * s[i] * s[j]
     return Fraction(total, den * den)
 
@@ -225,7 +212,7 @@ def sigma_seq(n: int, j_max: Optional[int] = None) -> List[Fraction]:
     sig, s, den = [Fraction(1)], [1], 1  # sig[i] = s[i] / den
     for j in range(1, j_max + 1):
         total = 0  # over den**2
-        for k, m, w in _pairs(j - 1, 2):  # ordered: off-diagonal weight 2
+        for k, m, w in _pairs(j - 1):
             total += w * c4(n - 3 * k, n - 3 * m) * s[k] * s[m]
         for k in range(1, (j + 1) // 2):
             m = j - k
@@ -380,11 +367,11 @@ class ScanRow:
         return is_triangular(self.n)
 
 
-def _scan_one(n: int, routes: Sequence[str], convention: PairConvention) -> ScanRow:
+def _scan_one(n: int, routes: Sequence[str]) -> ScanRow:
     row = ScanRow(n)
     try:
         if "J" in routes:
-            row.J = j_obstruction(n, convention)
+            row.J = j_obstruction(n)
         if "sigma" in routes:
             row.sigma_obstruction = sigma_obstruction(n)
         if "gamma" in routes and is_triangular(n):
@@ -399,18 +386,16 @@ def _scan_one(n: int, routes: Sequence[str], convention: PairConvention) -> Scan
     return row
 
 
-def scan(max_n: int, routes: Sequence[str] = ("J", "sigma"),
-         convention: PairConvention = "ordered") -> List[ScanRow]:
+def scan(max_n: int, routes: Sequence[str] = ("J", "sigma")) -> List[ScanRow]:
     """Per-n obstruction rows for n = 1..max_n; route agreement enforced."""
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
-    _off_diagonal_weight(convention)  # unknown conventions raise, whatever the routes
     if not routes:
         raise ValueError("at least one route is required (J, sigma, gamma)")
     for r in routes:
         if r not in ("J", "sigma", "gamma"):
             raise ValueError(f"unknown route {r!r}")
-    return [_scan_one(n, routes, convention) for n in range(1, max_n + 1)]
+    return [_scan_one(n, routes) for n in range(1, max_n + 1)]
 
 
 def write_scan_csv(rows: Sequence[ScanRow], path: str) -> None:

@@ -1,10 +1,12 @@
 """Command-line interface: verification, scans, certificates, CM and Lax checks.
 
-One binary, subcommand style.  Every command prints a single JSON report to
-stdout (scans additionally write CSV via --out).  Exit codes: 0 for
-success/verified, 1 for a verification failure (nonzero residual, failed
-certificate, out-of-tolerance residuals), 2 for usage errors (unknown ids,
-malformed files, unbound parameters).
+One binary, subcommand style.  Each subcommand does its work and returns
+(inputs, results, verified), or raises UsageError; whether its results are
+exact is stated beside its parser entry.  ``main`` alone times the command,
+prints the single JSON report (scans additionally write CSV via --out) and
+exits: 0 when verified, 1 on a verification failure (nonzero residual,
+failed certificate, out-of-tolerance residuals), 2 on a usage error (unknown
+ids, malformed files, unbound parameters; nothing on stdout).
 
 Exact rationals are serialized as strings "p/q"; they are never emitted as
 floats.  The report's "exact" flag is true precisely when no floating point
@@ -126,11 +128,10 @@ def _load_record(spec: str):
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (inputs, results, verified)
 
 
-def cmd_verify(args) -> int:
-    t0 = time.perf_counter()
+def cmd_verify(args):
     rec = _load_record(args.tau)
     form = _resolve_form(args.form, args.custom_form)
     bindings = _parse_params(args.param)
@@ -138,26 +139,18 @@ def cmd_verify(args) -> int:
         result = cat.verify_tau(rec, bindings, form)
     except cat.ParameterBindingError as exc:
         raise UsageError(str(exc)) from None
-    report = RunReport(
-        command="verify",
-        inputs={"tau": args.tau, "form": result.form_name,
-                "params": bindings},
-        results={
-            "id": result.record_id,
-            "is_solution": result.is_solution,
-            "residual_term_count": result.residual.num_terms(),
-            "residual_terms": result.residual_terms(10),
-            "notes": rec.notes,
-        },
-        timing_seconds=time.perf_counter() - t0,
-        exact=True,
-    )
-    report.emit()
-    return 0 if result.is_solution else 1
+    results = {
+        "id": result.record_id,
+        "is_solution": result.is_solution,
+        "residual_term_count": result.residual.num_terms(),
+        "residual_terms": result.residual_terms(10),
+        "notes": rec.notes,
+    }
+    inputs = {"tau": args.tau, "form": result.form_name, "params": bindings}
+    return inputs, results, result.is_solution
 
 
-def cmd_scan_jn(args) -> int:
-    t0 = time.perf_counter()
+def cmd_scan_jn(args):
     routes = tuple(r.strip() for r in args.routes.split(",") if r.strip())
     try:
         rows = classify.scan(args.max_n, routes)
@@ -173,47 +166,32 @@ def cmd_scan_jn(args) -> int:
     triangulars = [r.n for r in rows if r.triangular]
     law_holds = (zero_rows == triangulars) if any(
         r in routes for r in ("J", "sigma")) else None
-    report = RunReport(
-        command="scan-jn",
-        inputs={"max_n": args.max_n, "routes": list(routes), "out": args.out},
-        results={
-            "rows": len(rows),
-            "zero_set": zero_rows,
-            "triangular_set": triangulars,
-            "zero_set_is_triangular": law_holds,
-            "errors": errors,
-        },
-        timing_seconds=time.perf_counter() - t0,
-        exact=True,
-    )
-    report.emit()
-    return 0 if not errors and law_holds in (True, None) else 1
+    results = {
+        "rows": len(rows),
+        "zero_set": zero_rows,
+        "triangular_set": triangulars,
+        "zero_set_is_triangular": law_holds,
+        "errors": errors,
+    }
+    inputs = {"max_n": args.max_n, "routes": list(routes), "out": args.out}
+    return inputs, results, not errors and law_holds in (True, None)
 
 
-def cmd_certify(args) -> int:
-    t0 = time.perf_counter()
+def cmd_certify(args):
     if args.n < 1:
         raise UsageError(f"--n must be >= 1, got {args.n}")
     cert = classify.uniqueness_certificate(args.n)
-    report = RunReport(
-        command="certify",
-        inputs={"n": args.n},
-        results={
-            "n": cert.n,
-            "is_triangular": classify.is_triangular(cert.n),
-            "gammas": {str(q): str(v) for q, v in sorted(cert.gammas.items())},
-            "all_nonzero": cert.all_nonzero,
-            "unique_even": cert.unique_even,
-        },
-        timing_seconds=time.perf_counter() - t0,
-        exact=True,
-    )
-    report.emit()
-    return 0 if cert.all_nonzero else 1
+    results = {
+        "n": cert.n,
+        "is_triangular": classify.is_triangular(cert.n),
+        "gammas": {str(q): str(v) for q, v in sorted(cert.gammas.items())},
+        "all_nonzero": cert.all_nonzero,
+        "unique_even": cert.unique_even,
+    }
+    return {"n": args.n}, results, cert.all_nonzero
 
 
-def cmd_cm_check(args) -> int:
-    t0 = time.perf_counter()
+def cmd_cm_check(args):
     if not (math.isfinite(args.tol) and args.tol >= 0):
         raise UsageError(f"--tol must be finite and >= 0, got {args.tol}")
     rec_id = args.tau
@@ -253,42 +231,26 @@ def cmd_cm_check(args) -> int:
         except (cm.CoincidentPolesError, cm.RootFindingError) as exc:
             rows.append({"y": str(y), "error": str(exc)})
             ok = False
-    report = RunReport(
-        command="cm-check",
-        inputs={"tau": rec_id, "y": [str(y) for y in ys], "tol": args.tol},
-        results={"rows": rows, "within_tolerance": ok},
-        timing_seconds=time.perf_counter() - t0,
-        exact=False,
-    )
-    report.emit()
-    return 0 if ok else 1
+    return ({"tau": rec_id, "y": [str(y) for y in ys], "tol": args.tol},
+            {"rows": rows, "within_tolerance": ok}, ok)
 
 
-def cmd_lax_table(args) -> int:
-    t0 = time.perf_counter()
+def cmd_lax_table(args):
     comparison = lax.compare_phase_tables()
     mismatches = tuple((c["point"], c["j"]) for c in comparison if not c["match"])
     as_documented = mismatches == lax.PRINT_ERRATA
-    report = RunReport(
-        command="lax-table",
-        inputs={},
-        results={
-            "distinguished_points": {
-                name: f"({c})*sqrt6*i" for name, c in lax.DISTINGUISHED.items()},
-            "entries": comparison,
-            "mismatched_entries": [list(m) for m in mismatches],
-            "documented_errata": [list(m) for m in lax.PRINT_ERRATA],
-            "mismatches_are_documented_errata": as_documented,
-        },
-        timing_seconds=time.perf_counter() - t0,
-        exact=True,
-    )
-    report.emit()
-    return 0 if as_documented else 1
+    results = {
+        "distinguished_points": {
+            name: f"({c})*sqrt6*i" for name, c in lax.DISTINGUISHED.items()},
+        "entries": comparison,
+        "mismatched_entries": [list(m) for m in mismatches],
+        "documented_errata": [list(m) for m in lax.PRINT_ERRATA],
+        "mismatches_are_documented_errata": as_documented,
+    }
+    return {}, results, as_documented
 
 
-def cmd_lax_probe(args) -> int:
-    t0 = time.perf_counter()
+def cmd_lax_probe(args):
     if args.point not in lax.DISTINGUISHED:
         raise UsageError(
             f"unknown point {args.point!r}; choose from {sorted(lax.DISTINGUISHED)}")
@@ -304,19 +266,12 @@ def cmd_lax_probe(args) -> int:
     floor = lax.ROUNDING_FLOOR_FACTOR * sys.float_info.epsilon * math.exp(log_bound)
     cauchy = (lax.gaps_decreasing(probe["phi12_gaps"], floor)
               and lax.gaps_decreasing(probe["phi22_gaps"], floor))
-    report = RunReport(
-        command="lax-probe",
-        inputs={"point": args.point, "x": args.x},
-        results={**probe, "rounding_floor": floor, "cauchy_decreasing": cauchy},
-        timing_seconds=time.perf_counter() - t0,
-        exact=False,
-    )
-    report.emit()
-    return 0 if cauchy else 1
+    return ({"point": args.point, "x": args.x},
+            {**probe, "rounding_floor": floor, "cauchy_decreasing": cauchy},
+            cauchy)
 
 
-def cmd_energy(args) -> int:
-    t0 = time.perf_counter()
+def cmd_energy(args):
     rec = _load_record(args.tau)
     results = {"id": rec.id, "half_width": args.half_width, "step": args.step}
     try:
@@ -331,40 +286,25 @@ def cmd_energy(args) -> int:
         raise UsageError(str(exc)) from None
     except ArithmeticError as exc:
         results["error"] = str(exc)
-    report = RunReport(
-        command="energy",
-        inputs={"tau": args.tau, "half_width": args.half_width,
-                "step": args.step, "ratio_to": args.ratio_to},
-        results=results,
-        timing_seconds=time.perf_counter() - t0,
-        exact=False,
-    )
-    report.emit()
-    return 1 if "error" in results else 0
+    return ({"tau": args.tau, "half_width": args.half_width,
+             "step": args.step, "ratio_to": args.ratio_to},
+            results, "error" not in results)
 
 
-def cmd_degree(args) -> int:
-    t0 = time.perf_counter()
+def cmd_degree(args):
     if args.k < 0:
         raise UsageError(f"--k must be >= 0, got {args.k}")
     m = classify.solve_degree(args.k)
     balance = classify.hierarchy_degree(2 * args.k, m)
-    report = RunReport(
-        command="degree",
-        inputs={"k": args.k},
-        results={
-            "m": str(m),
-            "j": balance.j,
-            "b": str(balance.b),
-            "B": str(balance.B),
-            "balanced": balance.balanced,
-            "tau_degree": args.k * (args.k + 1),
-        },
-        timing_seconds=time.perf_counter() - t0,
-        exact=True,
-    )
-    report.emit()
-    return 0 if balance.balanced else 1
+    results = {
+        "m": str(m),
+        "j": balance.j,
+        "b": str(balance.b),
+        "B": str(balance.B),
+        "balanced": balance.balanced,
+        "tau_degree": args.k * (args.k + 1),
+    }
+    return {"k": args.k}, results, balance.balanced
 
 
 # ---------------------------------------------------------------------------
@@ -389,33 +329,33 @@ def build_parser() -> argparse.ArgumentParser:
                         '"[[\\"1\\",4,0],[\\"-1\\",2,0],[\\"-1\\",0,2]]"')
     p.add_argument("--param", action="append", metavar="NAME=VALUE",
                    help="bind a free parameter (repeatable)")
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func=cmd_verify, exact=True)
 
     p = sub.add_parser("scan-jn", help="obstruction scan over n = 1..N")
     p.add_argument("--max-n", type=int, required=True)
     p.add_argument("--routes", default="J,sigma",
                    help="comma list from J,sigma,gamma")
     p.add_argument("--out", default=None, help="CSV output path")
-    p.set_defaults(func=cmd_scan_jn)
+    p.set_defaults(func=cmd_scan_jn, exact=True)
 
     p = sub.add_parser("certify", help="uniqueness certificate for one n")
     p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=cmd_certify)
+    p.set_defaults(func=cmd_certify, exact=True)
 
     p = sub.add_parser("cm-check", help="pole locus and flow-tangency check")
     p.add_argument("--tau", required=True,
                    help="catalog id (the -bnew variant is implied)")
     p.add_argument("--y", default="0,1/2,1,2", help="comma list of rationals")
     p.add_argument("--tol", type=float, default=1e-9)
-    p.set_defaults(func=cmd_cm_check)
+    p.set_defaults(func=cmd_cm_check, exact=False)
 
     p = sub.add_parser("lax-table", help="the twelve phase entries, exact")
-    p.set_defaults(func=cmd_lax_table)
+    p.set_defaults(func=cmd_lax_table, exact=True)
 
     p = sub.add_parser("lax-probe", help="removable-singularity limit probe")
     p.add_argument("--point", required=True, help="k1+, k1-, k2+ or k2-")
     p.add_argument("--x", type=float, default=1.0)
-    p.set_defaults(func=cmd_lax_probe)
+    p.set_defaults(func=cmd_lax_probe, exact=False)
 
     p = sub.add_parser("energy", help="quadrature energy of a (3/2)-record")
     p.add_argument("--tau", required=True)
@@ -423,24 +363,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step", type=float, default=0.05)
     p.add_argument("--ratio-to", default=None,
                    help="also report H(tau)/H(other)")
-    p.set_defaults(func=cmd_energy)
+    p.set_defaults(func=cmd_energy, exact=False)
 
     p = sub.add_parser("degree", help="balanced decay degree for index k")
     p.add_argument("--k", type=int, required=True)
-    p.set_defaults(func=cmd_degree)
+    p.set_defaults(func=cmd_degree, exact=True)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    t0 = time.perf_counter()
     try:
-        return args.func(args)
+        inputs, results, verified = args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
+    RunReport(args.command, inputs, results, time.perf_counter() - t0,
+              args.exact).emit()
+    return 0 if verified else 1
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -491,7 +491,16 @@ class ExactPoly:
 
     @staticmethod
     def loads(text: str) -> "ExactPoly":
-        return ExactPoly.from_json_dict(json.loads(text))
+        """Parse an interchange file; ValueError on a repeated object key,
+        which ``json.loads`` would otherwise settle by keeping the last."""
+        return ExactPoly.from_json_dict(json.loads(text, object_pairs_hook=_unique_keys))
+
+
+def _unique_keys(pairs) -> dict:
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        raise ValueError(f"repeated key in {[k for k, _ in pairs]}")
+    return obj
 
 
 def _scaled(coeffs) -> tuple:

@@ -122,27 +122,16 @@ class TestASeq:
         assert a[2] == -11520
 
     def test_unordered_convention_differs(self):
-        # the A/B flag: the single-counting reading gives 16 n (n-1)
-        a = cl.a_seq(6, 1, convention="unordered")
-        assert a[1] == 16 * 6 * 5
-
-    @pytest.mark.parametrize("call", [
-        lambda: cl.a_seq(3, 0, convention="bogus"),
-        lambda: cl.a_seq(9, convention="Ordered"),
-        lambda: cl.j_obstruction(3, "bogus"),
-        lambda: cl.scan(3, routes=("J",), convention="bogus"),
-        lambda: cl.scan(3, routes=("sigma",), convention="bogus"),
-        lambda: cl.scan(3, routes=("gamma",), convention="bogus"),
-    ])
-    def test_unknown_convention_raises(self, call):
-        with pytest.raises(ValueError, match="unknown pair convention"):
-            call()
+        # the single-counting reading, on the independent oracle, gives
+        # 16 n (n-1) where the library's ordered chain gives 8 n (n-1)
+        assert chain_oracle(6, ordered=False)["a"][1] == 16 * 6 * 5
+        assert cl.a_seq(6, 1)[1] == 8 * 6 * 5
 
     def test_unordered_breaks_triangular_law(self):
-        # the reason "ordered" is the operative convention: the unordered
-        # reading fails the law already at n = 6
-        assert cl.j_obstruction(6, convention="ordered") == 0
-        assert cl.j_obstruction(6, convention="unordered") != 0
+        # the reason the chains count ordered pairs: the unordered reading
+        # fails the law already at n = 6
+        assert cl.j_obstruction(6) == 0
+        assert chain_oracle(6, ordered=False)["J"] != 0
 
 
 class TestJRoute:
@@ -231,12 +220,14 @@ class TestChainOracle:
     # the integer chains against the step-by-step Fraction recursions of the
     # docstrings, run by an oracle with its own structure constants
 
-    @pytest.mark.parametrize("convention", ["ordered", "unordered"])
-    def test_a_j_sigma_to_60(self, convention):
+    # the chains count ordered pairs; the unordered oracle reading is pinned
+    # in TestASeq
+    @pytest.mark.parametrize("ordered", [True], ids=["ordered"])
+    def test_a_j_sigma_to_60(self, ordered):
         for n in range(1, 61):
-            ref = chain_oracle(n, ordered=convention == "ordered")
-            a, sig = cl.a_seq(n, convention=convention), cl.sigma_seq(n)
-            J = cl.j_obstruction(n, convention)
+            ref = chain_oracle(n, ordered=ordered)
+            a, sig = cl.a_seq(n), cl.sigma_seq(n)
+            J = cl.j_obstruction(n)
             assert a == ref["a"], n
             assert J == ref["J"], n
             assert sig == ref["sigma"], n

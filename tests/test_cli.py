@@ -23,6 +23,16 @@ def run(capsys, *argv):
     return code, report, out.err
 
 
+def fresh_python(*argv):
+    """Run ``python argv...`` in a new interpreter with this checkout's src."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, *argv], capture_output=True,
+                          text=True, env=env, timeout=120)
+
+
 class TestVerify:
     def test_lump2(self, capsys):
         code, report, _ = run(capsys, "verify", "--tau", "lump2",
@@ -92,6 +102,9 @@ class TestVerify:
         '{"basis": "xy", "terms": [[2, 0, "1"], [2, 0, "5"], [0, 2, "1"], [0, 0, "3"]]}',
         '{"basis": "xy", "terms": [[2, 0, "1"], [0, 2, "1"], [false, false, "3"]]}',
         '{"basis": "xy", "terms": [[2, 0, {"re": "1", "imag": "5"}], [0, 2, "1"], [0, 0, "3"]]}',
+        # repeated JSON keys, of which json.loads would keep the last
+        '{"basis": "xy", "terms": [[0, 0, "1"]], "terms": [[2, 0, "1"], [0, 2, "1"], [0, 0, "3"]]}',
+        '{"basis": "xy", "terms": [[2, 0, "1"], [0, 2, "1"], [0, 0, {"re": "1", "re": "3"}]]}',
     ])
     def test_malformed_structure_exits_two(self, capsys, tmp_path, text):
         path = tmp_path / "bad.json"
@@ -501,12 +514,7 @@ class TestReport:
         # a fresh interpreter: importing the CLI stays free of multiprocessing
         code = ("import sys, lumps.cli; print(sorted(m for m in sys.modules if m in "
                 "('multiprocessing', 'concurrent.futures')))")
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                              text=True, env=env, timeout=120)
+        proc = fresh_python("-c", code)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
@@ -518,3 +526,26 @@ class TestReport:
         code, report, _ = run(capsys, "degree", "--k", "2")
         assert code == 0
         assert report["timing_seconds"] >= 0
+
+    @pytest.mark.parametrize("argv, exact", [
+        (["verify", "--tau", "lump2"], True),
+        (["scan-jn", "--max-n", "30"], True),
+        (["certify", "--n", "15"], True),
+        (["cm-check", "--tau", "lump2"], False),
+        (["lax-table"], True),
+        (["lax-probe", "--point", "k1+"], False),
+        (["energy", "--tau", "lump2-bnew", "--half-width", "60", "--step", "0.1"], False),
+        (["degree", "--k", "3"], True),
+    ], ids=lambda v: v[0] if isinstance(v, list) else None)
+    def test_every_subcommand_reports_once(self, argv, exact):
+        # a fresh interpreter per subcommand: exit 0, one JSON document with
+        # the report keys in order, the command's own exact flag, quiet stderr
+        proc = fresh_python(
+            "-c", "import sys; from lumps.cli import main; sys.exit(main(sys.argv[1:]))",
+            *argv)
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        assert list(report) == ["command", "inputs", "results", "timing_seconds", "exact"]
+        assert report["command"] == argv[0]
+        assert report["exact"] is exact
+        assert proc.stderr == ""

@@ -42,6 +42,10 @@ FILES = {
     "repeated.json": '{"basis": "xy", "terms": [[2, 0, "1"], [2, 0, "5"], [0, 2, "1"]]}',
     "boolean.json": '{"basis": "xy", "terms": [[2, 0, "1"], [0, 2, "1"], [false, 0, "3"]]}',
     "imag.json": '{"basis": "xy", "terms": [[2, 0, {"re": "1", "imag": "5"}]]}',
+    "twice.json": ('{"basis": "xy", "terms": [[0, 0, "1"]], '
+                   '"terms": [[2, 0, "1"], [0, 2, "1"], [0, 0, "3"]]}'),
+    "twice_re.json": ('{"basis": "xy", "terms": [[2, 0, "1"], [0, 2, "1"], '
+                      '[0, 0, {"re": "1", "re": "3"}]]}'),
 }
 
 
