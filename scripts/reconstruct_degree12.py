@@ -5,7 +5,10 @@ The degree-12 polynomial, exactly as printed, fails the bilinear form
 Dx^4 - Dx^2 - Dy^2 with a residual supported on 27 monomials.  This script
 re-derives the unique single-coefficient correction from scratch: for each
 symmetric coefficient slot it solves the quadratic equation the bilinear
-form imposes on a correction there, then verifies the winner globally.
+form imposes on a correction there, from one pairing and one residual of
+the slot monomial.  Each root is screened by its polarization sum, which
+costs a few polynomial additions; the full residual is computed only for a
+root that passes, so the reported fix is still checked globally.
 The n = 6 gamma certificate (all gamma_q nonzero) makes the corrected
 polynomial THE even solution, so the located coefficient is the erratum.
 """
@@ -20,18 +23,18 @@ from lumps.hirota import STANDARD
 from lumps.polyring import poly_zz
 
 
-def corrected_candidates(printed_zz, R0):
-    """(slot, epsilon) pairs whose symmetric correction zeroes the residual.
+def slot_roots(printed_zz, tau0, R0):
+    """(slot, E, lin, quad, eps) for every rational root eps of every slot.
 
-    R0 is the residual of the printed polynomial.  Every form has even total
-    order, so with E the symmetric slot monomial the residual of tau0 + eps E
-    is R0 + 2 eps B(tau0, E) + eps^2 R(E), B the form's pairing.
+    tau0 is the printed polynomial in x, y and R0 its residual.  Every form
+    has even total order, so with E the symmetric slot monomial the residual
+    of tau0 + eps E is the polarization sum R0 + eps lin + eps^2 quad, where
+    lin = 2 B(tau0, E), B the form's pairing, and quad = R(E).  The roots
+    zero the sum's coefficient at the smallest monomial of lin.
     """
-    tau0 = printed_zz.to_xy()
     slots = sorted({(a, b) for (a, b) in printed_zz.terms if a >= b},
                    key=lambda k: (-(k[0] + k[1]), -k[0]))
 
-    found = []
     for slot in slots:
         a, b = slot
         E = poly_zz({(a, b): 1, (b, a): 1}).to_xy()
@@ -54,14 +57,25 @@ def corrected_candidates(printed_zz, R0):
                     s = Fraction(rn, rd)
                     roots = [(-l + s) / (2 * q), (-l - s) / (2 * q)]
         for eps in roots:
-            if eps != 0 and STANDARD.residual(tau0 + E.scale(eps)).is_zero():
-                found.append((slot, eps))
-    return found
+            yield slot, E, lin, quad, eps
+
+
+def corrected_candidates(printed_zz, tau0, R0):
+    """(slot, epsilon) pairs whose symmetric correction zeroes the residual.
+
+    A nonzero root is screened by its polarization sum, a few additions;
+    one that passes is checked with the full residual of tau0 + eps E.
+    """
+    return [(slot, eps) for slot, E, lin, quad, eps in slot_roots(printed_zz, tau0, R0)
+            if eps != 0
+            and (R0 + lin.scale(eps) + quad.scale(eps * eps)).is_zero()
+            and STANDARD.residual(tau0 + E.scale(eps)).is_zero()]
 
 
 def main() -> int:
     printed_zz = poly_zz(cat._pelin12_zz_terms(corrected=False))
-    res = STANDARD.residual(printed_zz.to_xy())
+    tau0 = printed_zz.to_xy()
+    res = STANDARD.residual(tau0)
     print(f"printed degree-12 polynomial: residual has {res.num_terms()} "
           f"monomials under Dx^4 - Dx^2 - Dy^2")
 
@@ -69,7 +83,7 @@ def main() -> int:
     print(f"n = 6 gamma certificate: {dict(cert.gammas)} "
           f"(all nonzero: {cert.all_nonzero})")
 
-    fixes = corrected_candidates(printed_zz, res)
+    fixes = corrected_candidates(printed_zz, tau0, res)
     for (a, b), eps in fixes:
         old = printed_zz.coeff(a, b).re
         print(f"single-coefficient fix: z^{a} zbar^{b} (+ mirror): "

@@ -1,7 +1,6 @@
 """Degree classification and even-solution uniqueness certificates.
 
-Everything here is exact rational arithmetic.  Three independent routes are
-implemented:
+Everything here is exact rational arithmetic.  Three routes are implemented:
 
 * the J route: the quadratic recursion for the coefficients a_m of the
   leading chain (x^2+y^2)^{n-3m} x^{2m} y^{2m}, whose terminal mismatch J_n
@@ -14,6 +13,10 @@ implemented:
 * the gamma route: for each kernel direction z^n zbar^{n-2q} + (mirror),
   the chain beta_j whose terminal value gamma_q certifies (when nonzero)
   that the kernel coefficient is forced, hence the even solution is unique.
+
+The J and sigma routes are one recursion in two bases (x^2 y^2 =
+-(z^2 - zbar^2)^2 / 16): a_m = (-16)^m sigma_m.  Their agreement checks the
+code, not the mathematics; the test-suite's chain oracle checks that.
 
 Pair-counting convention: all quadratic sums run over ordered pairs (i, j).
 Terms containing the step's unknown move to the left-hand side; in the

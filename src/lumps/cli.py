@@ -22,6 +22,7 @@ import sys
 import time
 from dataclasses import asdict, dataclass, is_dataclass
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 from typing import Any, Dict, Optional
 
@@ -310,6 +311,7 @@ def cmd_degree(args):
 # ---------------------------------------------------------------------------
 
 
+@cache  # built on first use, once per process; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lumps",

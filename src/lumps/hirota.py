@@ -14,7 +14,10 @@ integers over one denominator each, ``ExactPoly.numerators``), so inside the
 loop every coefficient is a Gaussian integer; the result's denominator is
 the product of theirs and that of the form weights.  A(order, u, v) = 0
 whenever u, v >= 0 and u + v < order, so no pair lands on a negative
-exponent.
+exponent.  In the pass a monomial (i, j) is the int i*W + j, W above every
+y-exponent sum, so an output key is the pair's key sum minus a per-order
+offset a*W + b.  Real f and g (every catalog tau in x, y) take an inner
+loop without imaginary parts.
 
 Before the pass, each axis coefficient a call needs is laid out in rows:
 per distinct order and distinct exponent of f on that axis, one list over
@@ -60,14 +63,14 @@ def _bilinear(terms, f: ExactPoly, g: ExactPoly, symmetric: bool) -> ExactPoly:
     """
     den_f, fnum = f.numerators()
     den_g, gnum = g.numerators()
+    W = max((j for _, j in fnum), default=0) + max((j for _, j in gnum), default=0) + 1
     # position of each distinct exponent of g on each axis
     px, py = {}, {}
     for i, j in gnum:
         px.setdefault(i, len(px))
         py.setdefault(j, len(py))
-    gs = [(px[i], py[j], i, j, r, m) for (i, j), (r, m) in gnum.items()]
-    fs = ([(i, j, r, m) for _, _, i, j, r, m in gs] if symmetric else
-          [(i, j, r, m) for (i, j), (r, m) in fnum.items()])
+    gs = [(px[i], py[j], i * W + j, r, m) for (i, j), (r, m) in gnum.items()]
+    fs = [(i, j, i * W + j, r, m) for (i, j), (r, m) in fnum.items()]
     # the distinct exponents of f on each axis, and the distinct orders
     fx, fy = (px, py) if symmetric else (
         dict.fromkeys(i for i, _ in fnum), dict.fromkeys(j for _, j in fnum))
@@ -79,23 +82,35 @@ def _bilinear(terms, f: ExactPoly, g: ExactPoly, symmetric: bool) -> ExactPoly:
     yrows = {b: {u: [axis(b, u, v) for v in py] if b else [1] * len(py)
                  for u in fy}
              for b in dict.fromkeys(b for _, _, b in terms)}
+    real = not any(m for _, m in fnum.values()) and not any(m for _, m in gnum.values())
 
     accs = [({}, {}) for _ in terms]
-    for n, (i1, j1, r1, m1) in enumerate(fs):
-        ops = [(xrows[a][i1], yrows[b][j1], a, b, acc_re, acc_im)
+    for n, (i1, j1, k1, r1, m1) in enumerate(fs):
+        ops = [(xrows[a][i1], yrows[b][j1], k1 - a * W - b, acc_re, acc_im)
                for (_, a, b), (acc_re, acc_im) in zip(terms, accs)]
-        for pi, pj, i2, j2, r2, m2 in (gs[n:] if symmetric else gs):
-            pr = r1 * r2 - m1 * m2
-            pm = r1 * m2 + m1 * r2
-            if symmetric and (i2 != i1 or j2 != j1):
-                pr, pm = 2 * pr, 2 * pm
-            si, sj = i1 + i2, j1 + j2
-            for xrow, yrow, a, b, acc_re, acc_im in ops:
+        # off-diagonal pairs of a symmetric pass count twice
+        d1, e1 = (2 * r1, 2 * m1) if symmetric else (r1, m1)
+        if real:
+            for pi, pj, k2, r2, _ in (gs[n:] if symmetric else gs):
+                pr = (d1 if k2 != k1 else r1) * r2
+                for xrow, yrow, base, acc_re, _ in ops:
+                    k = xrow[pi]
+                    if k:
+                        k *= yrow[pj]
+                    if k:
+                        key = base + k2
+                        acc_re[key] = acc_re.get(key, 0) + k * pr
+            continue
+        for pi, pj, k2, r2, m2 in (gs[n:] if symmetric else gs):
+            c1, c2 = (d1, e1) if k2 != k1 else (r1, m1)
+            pr = c1 * r2 - c2 * m2
+            pm = c1 * m2 + c2 * r2
+            for xrow, yrow, base, acc_re, acc_im in ops:
                 k = xrow[pi]
                 if k:
                     k *= yrow[pj]
                 if k:
-                    key = (si - a, sj - b)
+                    key = base + k2
                     acc_re[key] = acc_re.get(key, 0) + k * pr
                     acc_im[key] = acc_im.get(key, 0) + k * pm
 
@@ -103,10 +118,10 @@ def _bilinear(terms, f: ExactPoly, g: ExactPoly, symmetric: bool) -> ExactPoly:
     re, im = {}, {}
     for (wr, wm), (acc_re, acc_im) in zip(weights, accs):
         for key, r in acc_re.items():
-            m = acc_im[key]
+            m = acc_im.get(key, 0)
             re[key] = re.get(key, 0) + wr * r - wm * m
             im[key] = im.get(key, 0) + wr * m + wm * r
-    return _reduced({key: (r, im[key]) for key, r in re.items()},
+    return _reduced({divmod(key, W): (r, im[key]) for key, r in re.items()},
                     den_f * den_g * den_w, f.basis)
 
 

@@ -186,6 +186,23 @@ class TestSigmaRoute:
             assert (cl.j_obstruction(n) == 0) == (cl.sigma_obstruction(n) == 0)
 
 
+class TestGauge:
+    """The J and sigma routes are one recursion in two bases: x^2 y^2 =
+    -(z^2 - zbar^2)^2 / 16 carries a_m to (-16)^m sigma_m, and the terminal
+    mismatches differ by a fixed factor.  So their agreement checks the code;
+    ``chain_oracle`` is the independent check of the mathematics."""
+
+    def test_a_is_sigma_in_the_other_basis_to_60(self):
+        for n in range(1, 61):
+            a, sigma = cl.a_seq(n), cl.sigma_seq(n)
+            assert a == [(-16) ** m * s for m, s in enumerate(sigma[:len(a)])], n
+
+    def test_j_is_a_multiple_of_sigma_to_120(self):
+        for n in range(1, 121):
+            c = n // 3 + 1
+            assert cl.j_obstruction(n) == 24 * c ** 2 * 16 ** c * cl.sigma_obstruction(n), n
+
+
 class TestGammaRoute:
     def test_beta0(self):
         assert cl.beta_seq(15, 3)[0] == 1

@@ -518,6 +518,26 @@ class TestReport:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
+    def test_no_state_leaks_between_calls(self, capsys):
+        # one interpreter, one parser: a bound call, then an argparse usage
+        # error, then a call without bindings reports what a fresh run does
+        code, report, _ = run(capsys, "verify", "--tau", "yang6",
+                              "--param", "a=1", "--param", "b=2")
+        assert code == 0 and report["inputs"]["params"] == {"a": "1", "b": "2"}
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--tau", "lump2", "--no-such-option"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        code, report, _ = run(capsys, "verify", "--tau", "lump2")
+        assert code == 0 and report["inputs"]["params"] == {}
+        proc = fresh_python(
+            "-c", "import sys; from lumps.cli import main; sys.exit(main(sys.argv[1:]))",
+            "verify", "--tau", "lump2")
+        assert proc.returncode == 0, proc.stderr
+        fresh = json.loads(proc.stdout)
+        del report["timing_seconds"], fresh["timing_seconds"]
+        assert report == fresh
+
     def test_timing_is_monotonic_clock(self, capsys, monkeypatch):
         def wall_clock():
             raise AssertionError("timing must not read the wall clock")

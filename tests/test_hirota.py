@@ -67,6 +67,14 @@ def complex_form(basis, weights):
         for (re, im), (a, b) in zip(weights, COMPLEX_ORDERS)), basis)
 
 
+def oracle_pairing(weights, f, g):
+    """sum_k w_k D^{COMPLEX_ORDERS[k]} f.g by the shift-variable oracle."""
+    expected = ExactPoly.zero(f.basis)
+    for (re, im), (a, b) in zip(weights, COMPLEX_ORDERS):
+        expected = expected + hirota_oracle(a, b, f, g).scale(QQi(re, im))
+    return expected
+
+
 class TestOracleAgreement:
     def test_two_hundred_random_instances(self, rng):
         # degree <= 4, order a+b <= 4, exact equality against the
@@ -116,10 +124,7 @@ class TestKernelAgainstOracle:
     def test_custom_form_complex_weights(self, tau, weights, basis):
         tau = ExactPoly(tau.terms, basis)
         form = complex_form(basis, weights)
-        expected = ExactPoly.zero(basis)
-        for (re, im), (a, b) in zip(weights, COMPLEX_ORDERS):
-            expected = expected + hirota_oracle(a, b, tau, tau).scale(QQi(re, im))
-        assert form.residual(tau) == expected
+        assert form.residual(tau) == oracle_pairing(weights, tau, tau)
 
 
 class TestProperties:
@@ -301,13 +306,74 @@ class TestPairing:
     def test_against_oracle(self, f, g, weights, basis):
         f, g = ExactPoly(f.terms, basis), ExactPoly(g.terms, basis)
         form = complex_form(basis, weights)
-        expected = ExactPoly.zero(basis)
-        for (re, im), (a, b) in zip(weights, COMPLEX_ORDERS):
-            expected = expected + hirota_oracle(a, b, f, g).scale(QQi(re, im))
-        assert form.pairing(f, g) == expected
+        assert form.pairing(f, g) == oracle_pairing(weights, f, g)
 
     def test_basis_mismatch(self):
         xy, zz = poly_xy({(1, 0): 1}), poly_zz({(1, 0): 1})
         for f, g in ((xy, zz), (zz, xy), (zz, zz)):
             with pytest.raises(BasisMismatchError):
                 STANDARD.pairing(f, g)
+
+
+#: real polynomials with wide coefficients, for the real-coefficient loop
+real_polys = st.builds(
+    lambda p: ExactPoly({k: QQi(c.re) for k, c in p.terms.items()}, p.basis),
+    wide_polys(max_degree=4, max_terms=4))
+
+
+class TestKernelLoops:
+    """The kernel runs a real-coefficient loop when f and g both have real
+    coefficients and the Gaussian loop otherwise, on packed monomial keys
+    i*W + j with W above every y-exponent sum; each against the oracle."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(real_polys, complex_weights, st.sampled_from(list(Basis)))
+    def test_real_symmetric(self, tau, weights, basis):
+        tau = ExactPoly(tau.terms, basis)
+        assert complex_form(basis, weights).residual(tau) == \
+            oracle_pairing(weights, tau, tau)
+
+    @settings(max_examples=30, deadline=None)
+    @given(real_polys, real_polys, complex_weights,
+           st.sampled_from(list(Basis)))
+    def test_real_pair(self, f, g, weights, basis):
+        f, g = ExactPoly(f.terms, basis), ExactPoly(g.terms, basis)
+        assert complex_form(basis, weights).pairing(f, g) == \
+            oracle_pairing(weights, f, g)
+        assert hirota_d(3, 1, f, g) == hirota_oracle(3, 1, f, g)
+
+    @settings(max_examples=30, deadline=None)
+    @given(real_polys, wide_polys(max_degree=4, max_terms=4), complex_weights,
+           st.sampled_from(list(Basis)))
+    def test_real_with_complex(self, f, g, weights, basis):
+        # one real factor is not enough for the real loop, in either slot
+        f, g = ExactPoly(f.terms, basis), ExactPoly(g.terms, basis)
+        form = complex_form(basis, weights)
+        assert form.pairing(f, g) == oracle_pairing(weights, f, g)
+        assert form.pairing(g, f) == oracle_pairing(weights, g, f)
+
+    @pytest.mark.parametrize("basis", list(Basis))
+    def test_empty_and_constant(self, basis):
+        zero = ExactPoly.zero(basis)
+        c = ExactPoly.constant(QQi(Fraction(3), Fraction(-2)), basis)
+        f = ExactPoly({(2, 1): 5, (0, 3): QQi(Fraction(1), Fraction(1))}, basis)
+        weights = [(1, 0), (-1, 2), (Fraction(1, 3), 0), (0, 1)]
+        form = complex_form(basis, weights)
+        assert form.residual(zero) == zero
+        for p, q in ((zero, f), (f, zero), (c, c), (c, f), (f, c)):
+            assert form.pairing(p, q) == oracle_pairing(weights, p, q)
+            assert hirota_d(0, 0, p, q) == p * q
+        assert form.residual(c) == oracle_pairing(weights, c, c)
+
+    @pytest.mark.parametrize("basis", list(Basis))
+    @pytest.mark.parametrize("im", [0, 1])
+    def test_top_y_sum_beside_an_x_step(self, basis, im):
+        # y^3.y^2 reaches the y-sum W - 1 = 5 at x^0 beside x^1 outputs;
+        # with W one too small x^0 y^5 would read as x^1 y^0
+        f = ExactPoly({(0, 3): 1, (1, 0): QQi(Fraction(2), Fraction(im))}, basis)
+        g = ExactPoly({(0, 2): 7, (1, 0): -3, (0, 0): 1}, basis)
+        for a, b in ((0, 0), (1, 0), (2, 0), (1, 1), (0, 2)):
+            assert hirota_d(a, b, f, g) == hirota_oracle(a, b, f, g)
+        weights = [(1, 0), (2, 0), (-1, 0), (1, 1)]
+        assert complex_form(basis, weights).residual(f) == \
+            oracle_pairing(weights, f, f)
