@@ -7,10 +7,11 @@ space TM, and the CM flow direction are all evaluated numerically here;
 the constants (36, +3, 72) are pinned to that normalization, so callers
 rescale tau first (the catalog's "-bnew" records).
 
-Pole positions are the companion-matrix eigenvalues (np.roots) of the
-x-polynomial tau(., y), its exact coefficients converted to doubles, each
-root held to ROOT_TOL.  Velocities use implicit differentiation:
-beta = -tau_y / tau_x at each root.
+Both come from one exact reduction at the height y: the x-coefficients of
+p = tau(., y) and q = tau_y(., y).  Pole positions are the companion-matrix
+eigenvalues (np.roots) of p, its exact coefficients converted to doubles,
+each root held to ROOT_TOL.  Velocities use implicit differentiation:
+beta = -q / p' at each root, since tau_x(., y) = p'.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -78,47 +79,45 @@ class TangentVector:
             raise ValueError("a and b must have equal length")
 
 
-_NAN = complex(math.nan, math.nan)
+def _pair_sums(cfg: PoleConfig, m: int, w) -> List[complex]:
+    """Per pole j: sum_{k != j} w(j, k) / (eta_j - eta_k)^m.
+
+    The power is a product (complex ** raises OverflowError at huge gaps);
+    a pole with a power past float range gets nan, for the caller to report.
+    """
+    eta = cfg.eta
+    out = []
+    for j, ej in enumerate(eta):
+        s = 0j
+        for k, ek in enumerate(eta):
+            if k != j:
+                d = dm = ej - ek
+                for _ in range(m - 1):
+                    dm *= d
+                if not cmath.isfinite(dm):
+                    s = complex(math.nan, math.nan)
+                    break
+                s += w(j, k) / dm
+        out.append(s)
+    return out
 
 
-def _finite(*values: complex) -> bool:
-    return all(cmath.isfinite(v) for v in values)
-
-
-def locus_residual(cfg: PoleConfig) -> Tuple[np.ndarray, np.ndarray]:
+def locus_residual(cfg: PoleConfig) -> Tuple[List[complex], List[complex]]:
     """Per-pole residuals of the two locus identities.
 
     First:  sum_{k != j} (beta_j + beta_k) / (eta_j - eta_k)^3
     Second: beta_j^2 + sum_{k != j} 36 / (eta_j - eta_k)^2 + 3
     """
     cfg.require_distinct()
-    n = cfg.n
-    first = np.zeros(n, dtype=complex)
-    second = np.zeros(n, dtype=complex)
-    for j in range(n):
-        s1 = 0j
-        s2 = 0j
-        for k in range(n):
-            if k == j:
-                continue
-            d = cfg.eta[j] - cfg.eta[k]
-            # powers as products: complex ** raises OverflowError at huge
-            # gaps; a power past float range makes this pole's residual nan
-            # for the caller to report
-            d2 = d * d
-            d3 = d * d2
-            if not _finite(d2, d3):
-                s1 = s2 = _NAN
-                break
-            s1 += (cfg.beta[j] + cfg.beta[k]) / d3
-            s2 += 36.0 / d2
-        first[j] = s1
-        second[j] = cfg.beta[j] * cfg.beta[j] + s2 + 3.0
+    beta = cfg.beta
+    first = _pair_sums(cfg, 3, lambda j, k: beta[j] + beta[k])
+    second = [b * b + s + 3.0
+              for b, s in zip(beta, _pair_sums(cfg, 2, lambda j, k: 36.0))]
     return first, second
 
 
 def tangent_residual(cfg: PoleConfig, vec: TangentVector
-                     ) -> Tuple[np.ndarray, np.ndarray]:
+                     ) -> Tuple[List[complex], List[complex]]:
     """Per-pole residuals of the tangent-space identities at cfg.
 
     First:  sum_{k != j} [ (b_j + b_k)/(eta_j - eta_k)^3
@@ -131,60 +130,56 @@ def tangent_residual(cfg: PoleConfig, vec: TangentVector
     cfg.require_distinct()
     if len(vec.a) != cfg.n:
         raise ValueError("tangent vector length does not match configuration")
-    n = cfg.n
-    first = np.zeros(n, dtype=complex)
-    second = np.zeros(n, dtype=complex)
-    for j in range(n):
-        s1 = 0j
-        s2 = 0j
-        for k in range(n):
-            if k == j:
-                continue
-            d = cfg.eta[j] - cfg.eta[k]
-            d2 = d * d
-            d3 = d * d2
-            d4 = d2 * d2
-            if not _finite(d2, d3, d4):
-                s1 = s2 = _NAN
-                break
-            s1 += (vec.b[j] + vec.b[k]) / d3
-            s1 -= 3.0 * (cfg.beta[j] + cfg.beta[k]) * (vec.a[j] - vec.a[k]) / d4
-            s2 += 36.0 * (vec.a[j] - vec.a[k]) / d3
-        first[j] = s1
-        second[j] = cfg.beta[j] * vec.b[j] - s2
+    beta, a, b = cfg.beta, vec.a, vec.b
+    s3 = _pair_sums(cfg, 3, lambda j, k: b[j] + b[k])
+    s4 = _pair_sums(cfg, 4, lambda j, k: 3.0 * (beta[j] + beta[k]) * (a[j] - a[k]))
+    first = [u - v for u, v in zip(s3, s4)]
+    second = [beta[j] * b[j] - s for j, s in
+              enumerate(_pair_sums(cfg, 3, lambda j, k: 36.0 * (a[j] - a[k])))]
     return first, second
 
 
 def cm_rhs(cfg: PoleConfig) -> TangentVector:
     """The y-flow direction: a_j = beta_j, b_j = sum_{k != j} 72/(eta_j - eta_k)^3."""
     cfg.require_distinct()
-    b = []
-    for j in range(cfg.n):
-        s = 0j
-        for k in range(cfg.n):
-            if k != j:
-                d = cfg.eta[j] - cfg.eta[k]
-                s += 72.0 / (d * (d * d))
-        b.append(s)
-    return TangentVector(tuple(cfg.beta), tuple(b))
+    return TangentVector(cfg.beta, tuple(_pair_sums(cfg, 3, lambda j, k: 72.0)))
 
 
 # ---------------------------------------------------------------------------
 # root extraction
 
 
-def _x_coefficients(tau: ExactPoly, y: Fraction) -> list:
-    """Exact coefficients of tau(., y) as a polynomial in x, low order first."""
-    deg = tau.degree_in(0)
-    coeffs = [Fraction(0)] * (deg + 1)
-    ypow = {0: Fraction(1)}
-    for (i, j), c in tau.terms.items():
-        if not c.is_real():
+def _at_height(tau: ExactPoly, y: Fraction) -> Tuple[list, list]:
+    """Exact x-coefficients, low order first, of p = tau(., y) and q = tau_y(., y).
+
+    One pass over tau's numerators: with y = a/b and t the largest
+    y-exponent, den b^t p and den b^t q have integer coefficients, built
+    from cached powers of a and b.
+    """
+    den, num = tau.numerators()
+    t = tau.degree_in(1)
+    apow, bpow = [1], [1]
+    for _ in range(t):
+        apow.append(apow[-1] * y.numerator)
+        bpow.append(bpow[-1] * y.denominator)
+    p = [0] * (tau.degree_in(0) + 1)
+    q = list(p)
+    for (i, j), (re, im) in num.items():
+        if im:
             raise ValueError("pole extraction expects a real tau")
-        if j not in ypow:
-            ypow[j] = Fraction(y) ** j
-        coeffs[i] += c.re * ypow[j]
-    return coeffs
+        p[i] += re * apow[j] * bpow[t - j]
+        if j:
+            q[i] += j * re * apow[j - 1] * bpow[t - j + 1]
+    scale = den * bpow[t]
+    return [Fraction(c, scale) for c in p], [Fraction(c, scale) for c in q]
+
+
+def _floats(coeffs: Sequence[Fraction]) -> list:
+    """Doubles of exact coefficients; RootFindingError past float range."""
+    try:
+        return [float(c) for c in coeffs]
+    except OverflowError:
+        raise RootFindingError("a polynomial coefficient does not fit a float") from None
 
 
 def roots_exact_poly(coeffs: Sequence[Fraction]) -> np.ndarray:
@@ -194,10 +189,7 @@ def roots_exact_poly(coeffs: Sequence[Fraction]) -> np.ndarray:
     leaves float range, or when a root misses ROOT_TOL (a root past float
     range does: its residual is nan).
     """
-    try:
-        cf = [float(c) for c in coeffs]
-    except OverflowError:
-        raise RootFindingError("a polynomial coefficient does not fit a float") from None
+    cf = _floats(coeffs)
     while cf and cf[-1] == 0.0:
         cf.pop()
     if len(cf) < 2:
@@ -229,22 +221,17 @@ def poles_from_tau(rec: TauRecord, y) -> PoleConfig:
         raise ValueError(
             f"poles_from_tau expects the (3/2)-normalization; record "
             f"{rec.id!r} has c = {rec.scale_c} (use its -bnew variant)")
-    tau = rec.tau()
-    yq = Fraction(y)
-    coeffs = _x_coefficients(tau, yq)
-    eta = roots_exact_poly(coeffs)
-
-    tau_x = tau.diff(0, 1)
-    tau_y = tau.diff(1, 1)
-    yf = float(yq)
-    beta = []
-    for root in eta:
-        tx = tau_x.eval_complex(root, yf)
-        ty = tau_y.eval_complex(root, yf)
-        if abs(tx) == 0.0:
+    p, q = _at_height(rec.tau(), Fraction(y))
+    eta = roots_exact_poly(p)
+    dp = _floats([i * c for i, c in enumerate(p)][:0:-1])
+    # past float range a velocity is inf or nan, which the residuals carry to
+    # the caller; numpy's overflow warnings are silenced
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        tx = np.polyval(dp, eta)
+        if not np.all(tx):
             raise CoincidentPolesError(
-                f"repeated root suspected at eta={root}: tau_x vanishes")
-        beta.append(-ty / tx)
-    cfg = PoleConfig(tuple(complex(e) for e in eta), tuple(beta))
+                f"repeated root suspected at eta={eta[tx == 0][0]}: tau_x vanishes")
+        beta = -np.polyval(_floats(q[::-1]), eta) / tx
+    cfg = PoleConfig(tuple(eta.tolist()), tuple(beta.tolist()))
     cfg.require_distinct()
     return cfg

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Sequence, Tuple
@@ -234,8 +235,17 @@ def removable_probe(point: str, x: float) -> dict:
     The sequence k = k* (1 + eps), eps in PROBE_EPSILONS (the offsets that
     probe_log_bound bounds), converges, with successive differences
     shrinking proportionally to eps, exactly when the singularity is
-    removable.
+    removable.  The verdict ``cauchy_decreasing`` holds when both gap
+    sequences pass gaps_decreasing at ``rounding_floor``.  Raises
+    ValueError, before any entry is formed, when the probe's terms would
+    overflow a float.
     """
+    log_bound = probe_log_bound(point, x)
+    if log_bound >= math.log(sys.float_info.max):
+        raise ValueError(
+            f"--x {x} overflows the probe at {point}: its terms "
+            f"reach e^{log_bound:.6g}, past the float maximum "
+            f"e^{math.log(sys.float_info.max):.6g}")
     kstar = point_value(point)
     values12 = []
     values22 = []
@@ -246,6 +256,7 @@ def removable_probe(point: str, x: float) -> dict:
         values22.append(p22)
     gaps12 = [abs(b - a) for a, b in zip(values12, values12[1:])]
     gaps22 = [abs(b - a) for a, b in zip(values22, values22[1:])]
+    floor = ROUNDING_FLOOR_FACTOR * sys.float_info.epsilon * math.exp(log_bound)
     return {
         "point": point,
         "x": x,
@@ -254,4 +265,7 @@ def removable_probe(point: str, x: float) -> dict:
         "phi22": values22,
         "phi12_gaps": gaps12,
         "phi22_gaps": gaps22,
+        "rounding_floor": floor,
+        "cauchy_decreasing": (gaps_decreasing(gaps12, floor)
+                              and gaps_decreasing(gaps22, floor)),
     }

@@ -191,10 +191,6 @@ class ExactPoly:
     def constant(c: "QQi | Rat", basis: Basis = Basis.XY) -> "ExactPoly":
         return ExactPoly({(0, 0): QQi.of(c)}, basis)
 
-    @staticmethod
-    def monomial(i: int, j: int, c: "QQi | Rat" = 1, basis: Basis = Basis.XY) -> "ExactPoly":
-        return ExactPoly({(i, j): QQi.of(c)}, basis)
-
     # -- inspection ---------------------------------------------------
 
     @property
@@ -321,15 +317,6 @@ class ExactPoly:
                     out[(i - 1, j) if axis == 0 else (i, j - 1)] = (r * e, m * e)
             num = out
         return _reduced(num, self._den, self.basis)
-
-    # -- evaluation ---------------------------------------------------
-
-    def eval_complex(self, a: complex, b: complex) -> complex:
-        total, den = 0j, self._den
-        for (i, j), (r, m) in self._num.items():
-            # r / den is float(Fraction(r, den)): both round the same rational
-            total += complex(r / den, m / den) * (a ** i) * (b ** j)
-        return total
 
     # -- exact division -----------------------------------------------
 

@@ -65,3 +65,22 @@ def test_energy_is_traced_with_its_grid():
     assert m["catalog.energy.calls"] == 1
     assert m["catalog.energy.points"] == 20 * 20
     assert m["catalog.energy.points_per_s"] > 0
+
+
+def test_cm_check_is_traced_through_the_wrapped_names():
+    # perfbench reads these per-layer metrics on quadrature; a cm-check that
+    # stops calling through the wrapped entry points would zero them
+    out = _traced(
+        "import contextlib, io, json, time\n"
+        "from lumps import cli\n"
+        "t0 = time.perf_counter()\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(['cm-check', '--tau', 'pelin6', '--y=0,1/2'])\n"
+        "m = t.summary(t0, time.perf_counter())\n"
+        "print(json.dumps([code, m]))\n")
+    code, m = json.loads(out)
+    assert code == 0
+    assert m["cm.poles.calls"] == 2
+    assert m["cm.poles.count"] == 12
+    assert m["cm.roots.self_s"] > 0
+    assert m["cm.residual.self_s"] > 0

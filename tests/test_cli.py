@@ -70,6 +70,22 @@ class TestVerify:
                            "--param", "a=oops", "--param", "b=0")
         assert code == 2
 
+    def test_repeated_param_exits_two(self, capsys):
+        code, report, err = run(capsys, "verify", "--tau", "yang6", "--param", "a=1",
+                                "--param", "a=2", "--param", "b=0")
+        assert code == 2
+        assert report is None
+        assert "--param a is given more than once" in err
+
+    def test_form_and_custom_form_exclusive(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--tau", "lump2", "--form", "yang",
+                  "--custom-form", '[["1",4,0],["-1",2,0],["-1",0,2]]'])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "not allowed with argument" in out.err
+
     def test_polynomial_file_input(self, capsys, tmp_path):
         path = tmp_path / "tau.json"
         path.write_text(poly_xy({(2, 0): 1, (0, 2): 1, (0, 0): 3}).dumps())
@@ -322,6 +338,16 @@ class TestCmCheck:
         assert code == 2
         assert report is None
         assert "--tol must be finite and >= 0" in err
+
+    def test_nan_after_finite_residuals_fails_the_row(self, capsys, monkeypatch):
+        # max() over [0.0, nan] returns 0.0: every value is tested instead
+        monkeypatch.setattr(cli.cm, "locus_residual",
+                            lambda cfg: ([0j, 0j], [0j, complex(math.nan, 0.0)]))
+        code, report, _ = run(capsys, "cm-check", "--tau", "lump2", "--y", "1")
+        assert code == 1
+        row, = report["results"]["rows"]
+        assert row["error"].startswith("residual is not finite (locus nan")
+        assert report["results"]["within_tolerance"] is False
 
     def test_explicit_bnew_id(self, capsys):
         code, report, _ = run(capsys, "cm-check", "--tau", "pelin6-bnew",

@@ -1,12 +1,17 @@
+import cmath
 import math
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import exact_polys, rationals
+from hypothesis import given
 
 from lumps import cm
 from lumps.catalog import catalog
+from lumps.polyring import QQi, poly_xy
+from oracles import eval_oracle
 
 CAT = catalog()
 SQRT3 = math.sqrt(3.0)
@@ -73,6 +78,32 @@ class TestLocus:
         cfg = cm.PoleConfig((1j, 1j + 1e-12), (0j, 0j))
         with pytest.raises(cm.CoincidentPolesError):
             cm.locus_residual(cfg)
+
+
+class TestPairSums:
+    def test_each_sum_is_nan_only_past_its_own_power(self):
+        # poles +-1e80, gap 2e80: d^3 = 8e240 fits a float, d^4 = 1.6e321 does not
+        cfg = cm.PoleConfig((1e80 + 0j, -1e80 + 0j), (0j, 0j))
+        s3 = cm._pair_sums(cfg, 3, lambda j, k: 8.0)
+        assert s3 == pytest.approx([1e-240, -1e-240], rel=1e-12, abs=0)
+        s4 = cm._pair_sums(cfg, 4, lambda j, k: 1.0)
+        assert all(cmath.isnan(v) for v in s4)
+        # locus and the second tangent identity use powers up to 3: finite;
+        # the first tangent identity has a fourth power: nan at every pole
+        r1, r2 = cm.locus_residual(cfg)
+        assert all(cmath.isfinite(v) for v in r1 + r2)
+        t1, t2 = cm.tangent_residual(cfg, cm.TangentVector((1j, 0j), (1 + 0j, 1 + 0j)))
+        assert all(cmath.isnan(v) for v in t1)
+        assert t2 == pytest.approx([-4.5e-240j, -4.5e-240j], rel=1e-12, abs=0)
+
+    def test_powers_and_signs(self):
+        # asymmetric configuration: an off-by-one power or a flipped
+        # difference changes every sum
+        cfg = cm.PoleConfig((0j, 1 + 0j, 2j), (0j, 0j, 0j))
+        got = cm._pair_sums(cfg, 3, lambda j, k: j + 2 * k)
+        want = [sum((j + 2 * k) / (cfg.eta[j] - cfg.eta[k]) ** 3
+                    for k in range(3) if k != j) for j in range(3)]
+        assert got == pytest.approx(want, rel=1e-15)
 
 
 class TestTangent:
@@ -183,6 +214,29 @@ class TestPolesFromTau:
             fd = [(a - b) / (2 * float(eps)) for a, b in zip(p, m)]
             err = max(abs(f - b) for f, b in zip(fd, base.beta))
             assert err < 1e-8
+
+
+class TestAtHeight:
+    @pytest.mark.parametrize("rid", ["lump2-bnew", "pelin6-bnew",
+                                     "pelin12-corrected-bnew"])
+    @pytest.mark.parametrize("x, y", [(Fraction(2, 3), Fraction(-7, 5)),
+                                      (Fraction(-5), Fraction(1, 9))])
+    def test_catalog_against_oracle(self, rid, x, y):
+        tau = CAT[rid].tau()
+        p, q = cm._at_height(tau, y)
+        assert sum(c * x ** i for i, c in enumerate(p)) == eval_oracle(tau, x, y).re
+        assert sum(c * x ** i for i, c in enumerate(q)) == eval_oracle(tau.diff(1), x, y).re
+
+    @given(exact_polys(real_only=True), rationals, rationals)
+    def test_random_against_oracle(self, f, x, y):
+        p, q = cm._at_height(f, y)
+        assert QQi(sum(c * x ** i for i, c in enumerate(p))) == eval_oracle(f, x, y)
+        assert QQi(sum(c * x ** i for i, c in enumerate(q))) == eval_oracle(f.diff(1), x, y)
+
+    def test_complex_tau_refused(self):
+        with pytest.raises(ValueError, match="real tau"):
+            cm._at_height(poly_xy({(2, 0): 1, (0, 1): QQi(Fraction(0), Fraction(1))}),
+                          Fraction(1))
 
 
 class TestRootUtilities:

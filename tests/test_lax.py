@@ -164,6 +164,7 @@ class TestPhiEntries:
         assert g22[1] < 0.3 * g22[0]
         # values stay bounded at the would-be pole
         assert all(abs(v) < 10 for v in probe["phi12"] + probe["phi22"])
+        assert probe["cauchy_decreasing"] is True
 
 
 class TestGapsDecreasing:
@@ -193,6 +194,8 @@ class TestProbeBound:
             else:
                 hi = mid
         assert lo > 400
+        with pytest.raises(ValueError, match="overflows the probe"):
+            lax.removable_probe(point, sign * hi)
         probe = lax.removable_probe(point, sign * lo)
         values = probe["phi12"] + probe["phi22"]
         gaps = probe["phi12_gaps"] + probe["phi22_gaps"]

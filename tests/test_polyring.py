@@ -14,7 +14,7 @@ from lumps.polyring import (
     ONE, Basis, BasisMismatchError, ExactDivisionError, ExactPoly, QQi,
     poly_xy, poly_zz, r_squared)
 from oracles import (
-    diff_oracle, division_oracle, eval_oracle, product_oracle, scale_oracle,
+    diff_oracle, division_oracle, product_oracle, scale_oracle,
     substitute_oracle, sum_oracle)
 
 
@@ -328,15 +328,6 @@ class TestDivideExact:
         if g.is_zero():
             return
         assert (q * g).divide_exact(g) == q
-
-
-class TestEvaluation:
-    def test_eval_complex_matches_exact(self, rng):
-        for _ in range(10):
-            f = random_poly(rng, real_only=False)
-            exact = eval_oracle(f, Fraction(1, 3), Fraction(-5, 7))
-            approx = f.eval_complex(1 / 3, -5 / 7)
-            assert abs(complex(exact) - approx) < 1e-9
 
 
 class TestInterchange:
