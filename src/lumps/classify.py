@@ -48,17 +48,16 @@ from . import hirota
 from .polyring import ExactPoly, poly_xy
 
 # ---------------------------------------------------------------------------
-# closed-form structure constants (p_ij keeps its lru_cache: the perfbench
-# tracer reports p_ij.cache_info())
+# closed-form structure constants (p_ij's lru_cache stores nothing; perfbench
+# reads its cache_info().misses as the call count until it counts them itself)
 
 
-@lru_cache(maxsize=None)
 def d_ij(i: int, j: int) -> int:
     """-12 (i-j)^2 (-1)^{i+j}."""
     return -12 * (i - j) ** 2 * (-1) ** ((i + j) % 2)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=0)
 def p_ij(n: int, i: int, j: int) -> int:
     """16 (-1)^{i+j} C4(n-3i, n-3j): the degree-4 structure polynomial.
 

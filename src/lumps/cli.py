@@ -20,7 +20,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass, is_dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cache
 from pathlib import Path
@@ -48,8 +48,6 @@ def jsonable(value: Any) -> Any:
         return {str(k): jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple, set)):
         return [jsonable(v) for v in value]
-    if is_dataclass(value):
-        return jsonable(asdict(value))
     return str(value)
 
 
@@ -160,6 +158,7 @@ def cmd_scan_jn(args):
         except OSError as exc:
             raise UsageError(f"cannot write --out {args.out}: {exc}") from None
     errors = [r.error for r in rows if r.error]
+    uncertified = [r.n for r in rows if r.gamma_all_nonzero is False]
     zero_rows = [r.n for r in rows if r.is_zero]
     triangulars = [r.n for r in rows if r.triangular]
     law_holds = (zero_rows == triangulars) if any(
@@ -170,9 +169,10 @@ def cmd_scan_jn(args):
         "triangular_set": triangulars,
         "zero_set_is_triangular": law_holds,
         "errors": errors,
+        "uncertified": uncertified,
     }
     inputs = {"max_n": args.max_n, "routes": list(routes), "out": args.out}
-    return inputs, results, not errors and law_holds in (True, None)
+    return inputs, results, not (errors or uncertified) and law_holds in (True, None)
 
 
 def cmd_certify(args):

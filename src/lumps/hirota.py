@@ -202,6 +202,9 @@ class BilinearForm:
     def __post_init__(self):
         normalized = []
         for w, a, b in self.terms:
+            if type(a) is not int or type(b) is not int or a < 0 or b < 0:
+                raise ValueError(f"form {self.name!r}: Hirota orders must be "
+                                 f"integers >= 0, got {a!r}, {b!r}")
             wq = QQi.of(w)
             if wq.is_zero():
                 raise ValueError(f"form {self.name!r}: zero weight on D^{a} D^{b}")
@@ -209,9 +212,7 @@ class BilinearForm:
                 raise ValueError(
                     f"form {self.name!r}: odd total order {a}+{b}; odd-order "
                     "Hirota operators annihilate tau.tau")
-            if a < 0 or b < 0:
-                raise ValueError("Hirota orders must be >= 0")
-            normalized.append((wq, int(a), int(b)))
+            normalized.append((wq, a, b))
         object.__setattr__(self, "terms", tuple(normalized))
 
     def _require_basis(self, *polys: ExactPoly) -> None:
@@ -261,5 +262,5 @@ def custom_form(spec: Sequence, basis: Basis = Basis.XY) -> BilinearForm:
     if not (isinstance(spec, (list, tuple)) and spec and all(
             isinstance(t, (list, tuple)) and len(t) == 3 for t in spec)):
         raise ValueError("a custom form is a non-empty list of [weight, a, b] triples")
-    terms = tuple((QQi.of(Fraction(str(w))), int(a), int(b)) for w, a, b in spec)
+    terms = tuple((QQi.of(Fraction(str(w))), a, b) for w, a, b in spec)
     return BilinearForm("custom", terms, basis)

@@ -105,9 +105,6 @@ class QQi:
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
 
-    def is_real(self) -> bool:
-        return self.im == 0
-
     def __complex__(self) -> complex:
         return complex(float(self.re), float(self.im))
 
@@ -124,11 +121,14 @@ class QQi:
 
     @staticmethod
     def from_json(obj: "str | int | dict") -> "QQi":
-        if isinstance(obj, dict):
-            if not obj.keys() <= {"re", "im"}:
-                raise ValueError(f"coefficient keys must be re, im; got {sorted(obj)}")
-            return QQi(Fraction(str(obj["re"])), Fraction(str(obj.get("im", 0))))
-        return QQi(Fraction(str(obj)))
+        try:
+            if isinstance(obj, dict):
+                if not obj.keys() <= {"re", "im"}:
+                    raise ValueError(f"coefficient keys must be re, im; got {sorted(obj)}")
+                return QQi(Fraction(str(obj["re"])), Fraction(str(obj.get("im", 0))))
+            return QQi(Fraction(str(obj)))
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in coefficient {obj!r}") from None
 
 
 ONE = QQi(Fraction(1))

@@ -49,6 +49,7 @@ def test_chain_routes_are_traced():
     for layer in ("classify.j_route", "classify.sigma_route", "classify.gamma_route"):
         assert m[layer + ".self_s"] > 0, layer
     assert m["classify.p_ij.misses"] > 0
+    assert m["classify.p_ij.entries"] == 0
 
 
 def test_energy_is_traced_with_its_grid():

@@ -89,6 +89,18 @@ class TestVerification:
         with pytest.raises(KeyError):
             cat.get_record("nope")
 
+    def test_tau_of_a_parametrized_record_refused(self):
+        with pytest.raises(cat.ParameterBindingError, match="bind them first"):
+            CAT["yang6"].tau()
+
+    @pytest.mark.parametrize("rid", sorted(set(CAT) - {"yang6"}))
+    def test_tau_is_bound_once(self, rid):
+        # the same polynomial as binding afresh, in the same term order
+        rec = CAT[rid]
+        tau, fresh = rec.tau(), rec.bind({})
+        assert rec.tau() is tau
+        assert tau == fresh and list(tau.terms) == list(fresh.terms)
+
 
 class TestRecordInvariants:
     @pytest.mark.parametrize("rid,n", [("lump2", 1), ("pelin6", 3),
@@ -127,6 +139,12 @@ class TestEnergy:
     def test_wrong_normalization_rejected(self):
         with pytest.raises(ValueError, match="normalization"):
             cat.energy(CAT["lump2"])
+
+    def test_odd_record_rejected(self):
+        odd = poly_xy({(2, 0): 1, (0, 2): 3, (1, 0): 1, (0, 0): 3})
+        rec = cat.TauRecord("odd", (((), odd),), Fraction(3, 2), PRESETS["bnew"], ())
+        with pytest.raises(ValueError, match="even in x and y"):
+            cat.energy(rec, half_width=5.0, step=0.25)
 
     @pytest.mark.parametrize(
         "rid", ["lump2-bnew", "pelin6-bnew", "pelin12-corrected-bnew"])

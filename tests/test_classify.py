@@ -22,6 +22,16 @@ GAMMA_15 = {
 
 
 class TestStructureConstants:
+    def test_no_structure_constant_is_stored(self):
+        # every p_ij and d_ij value is read once per chain step, so a memo
+        # would only grow; p_ij's decorator is kept for its call count alone
+        misses = cl.p_ij.cache_info().misses
+        cl.scan(30)
+        info = cl.p_ij.cache_info()
+        assert info.currsize == 0 and info.maxsize == 0
+        assert info.misses > misses
+        assert not hasattr(cl.d_ij, "cache_info")
+
     def test_d_instances(self):
         assert cl.d_ij(0, 1) == 12
         assert cl.d_ij(0, 2) == -48
@@ -323,6 +333,10 @@ class TestHierarchy:
             m = cl.solve_degree(k)
             assert m == Fraction(-3, 2) * k * (k + 1)
             assert cl.hierarchy_degree(2 * k, m).balanced
+
+    def test_negative_j_rejected(self):
+        with pytest.raises(ValueError, match="j must be >= 0"):
+            cl.hierarchy_degree(-1, 0)
 
     def test_formulas(self):
         hb = cl.hierarchy_degree(3, Fraction(1, 2))

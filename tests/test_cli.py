@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from lumps import cli, lax
+from lumps import classify, cli, lax
 from lumps.cli import RunReport, main
 from lumps.polyring import poly_xy, poly_zz
 
@@ -70,6 +71,13 @@ class TestVerify:
                            "--param", "a=oops", "--param", "b=0")
         assert code == 2
 
+    def test_param_without_value_exits_two(self, capsys):
+        code, report, err = run(capsys, "verify", "--tau", "yang6",
+                                "--param", "a", "--param", "b=0")
+        assert code == 2
+        assert report is None
+        assert "--param expects name=value, got 'a'" in err
+
     def test_repeated_param_exits_two(self, capsys):
         code, report, err = run(capsys, "verify", "--tau", "yang6", "--param", "a=1",
                                 "--param", "a=2", "--param", "b=0")
@@ -121,6 +129,9 @@ class TestVerify:
         # repeated JSON keys, of which json.loads would keep the last
         '{"basis": "xy", "terms": [[0, 0, "1"]], "terms": [[2, 0, "1"], [0, 2, "1"], [0, 0, "3"]]}',
         '{"basis": "xy", "terms": [[2, 0, "1"], [0, 2, "1"], [0, 0, {"re": "1", "re": "3"}]]}',
+        # a zero denominator once escaped as a ZeroDivisionError traceback
+        '{"basis": "xy", "terms": [[2, 0, "1"], [0, 2, "1"], [0, 0, "1/0"]]}',
+        '{"basis": "xy", "terms": [[2, 0, {"re": "1", "im": "1/0"}], [0, 2, "1"]]}',
     ])
     def test_malformed_structure_exits_two(self, capsys, tmp_path, text):
         path = tmp_path / "bad.json"
@@ -170,6 +181,20 @@ class TestVerify:
         assert report["results"]["residual_term_count"] == 0
         assert report["results"]["residual_terms"] == []
 
+    @pytest.mark.parametrize("custom", [
+        # the first three once read as the standard form's 4 (exit 0 on pelin6)
+        '[["1",4.5,0],["-1",2,0],["-1",0,2]]',
+        '[["1","4",0],["-1",2,0],["-1",0,2]]',
+        '[["1",4,0],["-1",2,0],["-1",0,2],["1",true,true]]',
+        "[[1,-2,0]]",
+    ])
+    def test_order_not_a_nonnegative_integer_exits_two(self, capsys, custom):
+        code, report, err = run(capsys, "verify", "--tau", "pelin6",
+                                "--custom-form", custom)
+        assert code == 2
+        assert report is None
+        assert "malformed --custom-form" in err and "integers >= 0" in err
+
     @pytest.mark.parametrize("custom", ["[]", "{}", '["140"]', '{"140": 1}'])
     def test_empty_or_shapeless_custom_form_exits_two(self, capsys, custom):
         # an empty form is solved by every tau
@@ -189,6 +214,7 @@ class TestScan:
         res = report["results"]
         assert res["zero_set"] == [1, 3, 6, 10, 15, 21, 28]
         assert res["zero_set_is_triangular"] is True
+        assert res["uncertified"] == []  # gamma did not run
         with open(out) as fh:
             rows = list(csv.reader(fh))
         assert rows[0][0] == "n"
@@ -198,6 +224,24 @@ class TestScan:
         code, report, _ = run(capsys, "scan-jn", "--max-n", "10",
                               "--routes", "J,gamma")
         assert code == 0
+        assert report["results"]["uncertified"] == []
+        keys = list(report["results"])
+        assert keys[keys.index("errors") + 1] == "uncertified"
+
+    @pytest.mark.parametrize("routes", ["gamma", "J,gamma"])
+    def test_failed_certificate_fails_the_scan(self, capsys, monkeypatch, routes):
+        real = classify.uniqueness_certificate
+
+        def failing_at_6(n):
+            cert = real(n)
+            return dataclasses.replace(cert, all_nonzero=False) if n == 6 else cert
+
+        monkeypatch.setattr(classify, "uniqueness_certificate", failing_at_6)
+        code, report, _ = run(capsys, "scan-jn", "--max-n", "10",
+                              "--routes", routes)
+        assert code == 1
+        assert report["results"]["uncertified"] == [6]
+        assert report["results"]["errors"] == []
 
     def test_bad_route_exits_two(self, capsys):
         code, _, err = run(capsys, "scan-jn", "--max-n", "5",

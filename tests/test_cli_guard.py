@@ -46,6 +46,8 @@ FILES = {
                    '"terms": [[2, 0, "1"], [0, 2, "1"], [0, 0, "3"]]}'),
     "twice_re.json": ('{"basis": "xy", "terms": [[2, 0, "1"], [0, 2, "1"], '
                       '[0, 0, {"re": "1", "re": "3"}]]}'),
+    "zero_den.json": '{"basis": "xy", "terms": [[2, 0, "1"], [0, 2, "1"], [0, 0, "1/0"]]}',
+    "zero_den_im.json": '{"basis": "xy", "terms": [[2, 0, {"re": "1", "im": "1/0"}]]}',
 }
 
 
@@ -77,7 +79,8 @@ def grammar(command, paths):
         customs = ['[["1",4,0],["-1",2,0],["-1",0,2]]', '[["1",4,0]]', "[]",
                    "{}", '["140"]', '[["x",4,0]]', "[[1,1,0]]", "[[1,-2,0]]",
                    "[[0,2,0]]", "[[1,2]]", "not json", '[["1/0",2,0]]',
-                   "[[1,1e400,0]]", "[[NaN,2,0]]", '[["1",1000000,0]]']
+                   "[[1,1e400,0]]", "[[NaN,2,0]]", '[["1",1000000,0]]',
+                   '[["1",4.5,0]]', '[["1","4",0]]', "[[1,true,true]]"]
         params = st.lists(st.sampled_from(
             [f"a={r}" for r in RATIONALS] + [f"b={r}" for r in RATIONALS]
             + ["c=1", "a", "=1"]), max_size=3)

@@ -9,7 +9,8 @@ from conftest import exact_polys, rationals
 from hypothesis import given
 
 from lumps import cm
-from lumps.catalog import catalog
+from lumps.catalog import TauRecord, catalog
+from lumps.hirota import BNEW
 from lumps.polyring import QQi, poly_xy
 from oracles import eval_oracle
 
@@ -189,6 +190,13 @@ class TestPolesFromTau:
     def test_wrong_normalization_rejected(self):
         with pytest.raises(ValueError, match="normalization"):
             cm.poles_from_tau(CAT["lump2"], Fraction(0))
+
+    def test_double_root_rejected(self):
+        # tau(x, 0) = x^2: the companion roots are exact, and tau_x is 0 there
+        rec = TauRecord("double", (((), poly_xy({(2, 0): 1, (0, 2): 1})),),
+                        Fraction(3, 2), BNEW)
+        with pytest.raises(cm.CoincidentPolesError, match="tau_x vanishes"):
+            cm.poles_from_tau(rec, Fraction(0))
 
     @pytest.mark.parametrize("rid", ["lump2-bnew", "pelin6-bnew",
                                      "pelin12-corrected-bnew"])

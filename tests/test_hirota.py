@@ -256,6 +256,15 @@ class TestBilinearForm:
         with pytest.raises(ValueError, match="zero weight"):
             BilinearForm("bad", ((QQi.of(0), 2, 0),))
 
+    @pytest.mark.parametrize("a, b", [(4.5, 0), ("4", 0), (True, True), (-2, 0),
+                                      (2, 2.0)])
+    def test_orders_are_nonnegative_ints(self, a, b):
+        # int() would truncate 4.5 and read "4" as 4 and true as 1
+        with pytest.raises(ValueError, match="integers >= 0"):
+            BilinearForm("bad", ((QQi.of(1), a, b),))
+        with pytest.raises(ValueError, match="integers >= 0"):
+            custom_form([["1", a, b]])
+
     def test_presets(self):
         forms = (STANDARD, EVEN_SECTION, YANG, BNEW, YANG_ELLIPTIC)
         assert set(PRESETS) == {"standard", "even-section", "yang", "bnew",

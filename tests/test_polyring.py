@@ -359,6 +359,8 @@ class TestInterchange:
         ([[True, 0, "1"]], "exponents must be integers"),
         ([[2, 0, "1"], [2, 0, "5"]], "repeated monomial"),
         ([[2, 0, {"re": "1", "imag": "5"}]], "coefficient keys"),
+        ([[0, 0, "1/0"]], "zero denominator"),
+        ([[2, 0, {"re": "1", "im": "1/0"}]], "zero denominator"),
     ])
     def test_malformed_interchange_rejected(self, terms, reason):
         with pytest.raises(ValueError, match=reason):
