@@ -40,7 +40,7 @@ import numpy as np
 
 from . import hirota
 from .hirota import BNEW, STANDARD, YANG_ELLIPTIC, BilinearForm
-from .polyring import Basis, ExactPoly, poly_xy, poly_zz, r_squared
+from .polyring import Basis, ExactPoly, _reduced, poly_xy, poly_zz, r_squared
 
 ParamMonomial = Tuple[Tuple[str, int], ...]
 
@@ -100,7 +100,7 @@ class VerifyResult:
     residual: ExactPoly
 
     def residual_terms(self, limit: int = 10) -> List[list]:
-        keys = sorted(self.residual.terms,
+        keys = sorted(self.residual.numerators()[1],
                       key=lambda k: (-(k[0] + k[1]), -k[0]))
         return [[i, j, self.residual.coeff(i, j).to_json()]
                 for (i, j) in keys[:limit]]
@@ -214,7 +214,7 @@ def energy(rec: TauRecord, half_width: float = 200.0, step: float = 0.05
             f"energy expects the (3/2) dxx log tau normalization; record "
             f"{rec.id!r} has c = {rec.scale_c} (use its -bnew variant)")
     tau = rec.tau()
-    if any(i % 2 or j % 2 for (i, j) in tau.terms):
+    if any(i % 2 or j % 2 for (i, j) in tau.numerators()[1]):
         raise ValueError("energy quadrature assumes tau even in x and y")
 
     n2, n3, nv = _energy_numerators(tau)
@@ -227,8 +227,9 @@ def energy(rec: TauRecord, half_width: float = 200.0, step: float = 0.05
         nx = max(p.degree_in(0) for p in parts) // 2 + 1
         table = np.zeros((ny, len(parts), nx))
         for k, p in enumerate(parts):
-            for (i, j), c in p.terms.items():
-                table[j // 2, k, i // 2] = float(c.re)
+            den, num = p.numerators()
+            for (i, j), (r, _) in num.items():
+                table[j // 2, k, i // 2] = r / den
         tables.append(table.reshape(ny, -1))
 
     m = int(round(cells))
@@ -362,12 +363,11 @@ def _in_bands(band: Callable[[int, int], None], rows: int, workers: int
 
 def _sqrt3_y_rescale(p: ExactPoly) -> ExactPoly:
     """tau(x, sqrt(3) y): exact for polynomials even in y (y^2 -> 3 y^2)."""
-    out = {}
-    for (i, j), c in p.terms.items():
-        if j % 2:
-            raise ValueError("sqrt(3)-rescale needs a polynomial even in y")
-        out[(i, j)] = c * Fraction(3) ** (j // 2)
-    return poly_xy(out)
+    den, num = p.numerators()
+    if any(j % 2 for (_, j) in num):
+        raise ValueError("sqrt(3)-rescale needs a polynomial even in y")
+    return _reduced({(i, j): (r * 3 ** (j // 2), m * 3 ** (j // 2))
+                     for (i, j), (r, m) in num.items()}, den, Basis.XY)
 
 
 def _lump2() -> ExactPoly:

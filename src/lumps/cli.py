@@ -100,10 +100,13 @@ def _parse_params(pairs) -> Dict[str, Fraction]:
 
 def _load_record(spec: str):
     """A catalog id, or else a path to an interchange polynomial file in either
-    basis; a file named like an id is read as ./<id>."""
+    basis; a file named like an id is read as ./<id>.  Only a regular file is
+    read: a FIFO would block and a device such as /dev/zero never ends."""
     path = Path(spec)
     try:
         is_file = spec not in cat.catalog() and (path.suffix == ".json" or path.exists())
+        if is_file and path.exists() and not path.is_file():
+            raise OSError("not a regular file")
         text = path.read_text() if is_file else None
     except FileNotFoundError:
         raise UsageError(f"polynomial file not found: {spec}") from None
@@ -113,7 +116,7 @@ def _load_record(spec: str):
         try:
             return cat.get_record(spec)
         except KeyError as exc:
-            raise UsageError(str(exc)) from None
+            raise UsageError(exc.args[0]) from None
     try:
         poly = ExactPoly.loads(text)
     except (ValueError, KeyError, TypeError, OverflowError) as exc:
@@ -205,7 +208,7 @@ def cmd_cm_check(args):
     try:
         rec = cat.get_record(rec_id)
     except KeyError as exc:
-        raise UsageError(str(exc)) from None
+        raise UsageError(exc.args[0]) from None
     try:
         ys = [Fraction(v.strip()) for v in args.y.split(",") if v.strip()]
     except (ValueError, ZeroDivisionError):
@@ -270,12 +273,12 @@ def cmd_lax_probe(args):
 
 def cmd_energy(args):
     rec = _load_record(args.tau)
+    other = _load_record(args.ratio_to) if args.ratio_to else None
     results = {"id": rec.id, "half_width": args.half_width, "step": args.step}
     try:
         results["H"] = cat.energy(rec, half_width=args.half_width,
                                   step=args.step)
-        if args.ratio_to:
-            other = _load_record(args.ratio_to)
+        if other is not None:
             base = cat.energy(other, half_width=args.half_width, step=args.step)
             results["H_reference"] = base
             results["ratio"] = results["H"] / base

@@ -58,7 +58,8 @@ class QQi:
     """A Gaussian rational: ``re + im*i`` with exact Fraction components.
 
     Fractions keep denominators positive and in lowest terms, so equality
-    of QQi values is exact structural equality.
+    of QQi values is exact structural equality.  QQi is a parse/print value
+    with no arithmetic: every computation reads ``ExactPoly.numerators()``.
     """
 
     re: Fraction = Fraction(0)
@@ -71,42 +72,8 @@ class QQi:
             return value
         return QQi(Fraction(value))
 
-    def __add__(self, other: "QQi | Rat") -> "QQi":
-        o = QQi.of(other)
-        return QQi(self.re + o.re, self.im + o.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: "QQi | Rat") -> "QQi":
-        o = QQi.of(other)
-        return QQi(self.re - o.re, self.im - o.im)
-
-    def __rsub__(self, other: "QQi | Rat") -> "QQi":
-        return QQi.of(other) - self
-
-    def __mul__(self, other: "QQi | Rat") -> "QQi":
-        o = QQi.of(other)
-        return QQi(self.re * o.re - self.im * o.im,
-                   self.re * o.im + self.im * o.re)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: "QQi | Rat") -> "QQi":
-        o = QQi.of(other)
-        d = o.re * o.re + o.im * o.im
-        if d == 0:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        return QQi((self.re * o.re + self.im * o.im) / d,
-                   (self.im * o.re - self.re * o.im) / d)
-
-    def __neg__(self) -> "QQi":
-        return QQi(-self.re, -self.im)
-
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
-
-    def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
 
     def __str__(self) -> str:
         if self.im == 0:

@@ -6,6 +6,11 @@ off the (h1^a h2^b) coefficient times a! b!.  It never touches the
 library's term-pair closed form, its axis coefficients or its
 integer-scaled coefficient path.
 
+Every oracle computes with Gaussian rationals through its own four
+operations, ``_add``, ``_sub``, ``_mul`` and ``_div`` on the Fraction parts
+``.re`` and ``.im`` of a QQi; QQi itself has no arithmetic, and nothing here
+reads the library's integer numerators.
+
 The product oracle multiplies two polynomials term by term on a plain dict
 of QQi coefficients, with no common-denominator scaling; the sum, scale and
 derivative oracles do the same for f + g, c f and the power rule.
@@ -17,13 +22,13 @@ ratio form, and differentiates with numpy rather than the library.
 
 The substitution oracle converts between the (x, y) and (z, zbar) bases by
 the explicit binomial expansion of each monomial, on (re, im) pairs of plain
-Fractions: no power tables, no common denominators, no QQi arithmetic.
+Fractions: no power tables, no common denominators.
 
 The evaluation oracle multiplies out each term at exact values of the two
-variables, one QQi product per factor.
+variables, one ``_mul`` per factor.
 
 The division oracle is the leading-term elimination in graded-lex order on a
-plain dict of QQi coefficients, one QQi operation per term and step.
+plain dict of QQi coefficients, one operation per term and step.
 
 The chain oracle runs the a/J, sigma and beta recursions exactly as the
 classify docstrings state them, step by step in plain Fraction arithmetic
@@ -38,6 +43,26 @@ import numpy as np
 
 from lumps.polyring import Basis, ExactPoly, QQi
 
+
+def _add(a: QQi, b: QQi) -> QQi:
+    return QQi(a.re + b.re, a.im + b.im)
+
+
+def _sub(a: QQi, b: QQi) -> QQi:
+    return QQi(a.re - b.re, a.im - b.im)
+
+
+def _mul(a: QQi, b: QQi) -> QQi:
+    return QQi(a.re * b.re - a.im * b.im, a.re * b.im + a.im * b.re)
+
+
+def _div(a: QQi, b: QQi) -> QQi:
+    """a / b; ZeroDivisionError when b is zero."""
+    norm = b.re * b.re + b.im * b.im
+    return QQi((a.re * b.re + a.im * b.im) / norm,
+               (a.im * b.re - a.re * b.im) / norm)
+
+
 # four-variable sparse polynomial: (ix, iy, ih1, ih2) -> QQi
 
 
@@ -49,8 +74,7 @@ def _shift_expand(poly: ExactPoly, sign: int) -> dict:
             for q in range(j + 1):
                 w = comb(i, p) * comb(j, q) * sign ** (p + q)
                 key = (i - p, j - q, p, q)
-                cur = out.get(key, QQi())
-                out[key] = cur + c * Fraction(w)
+                out[key] = _add(out.get(key, QQi()), _mul(c, QQi(Fraction(w))))
     return {k: v for k, v in out.items() if not v.is_zero()}
 
 
@@ -59,8 +83,7 @@ def _mul4(a: dict, b: dict) -> dict:
     for ka, ca in a.items():
         for kb, cb in b.items():
             key = tuple(x + y for x, y in zip(ka, kb))
-            cur = out.get(key, QQi())
-            out[key] = cur + ca * cb
+            out[key] = _add(out.get(key, QQi()), _mul(ca, cb))
     return {k: v for k, v in out.items() if not v.is_zero()}
 
 
@@ -71,45 +94,45 @@ def hirota_oracle(a: int, b: int, f: ExactPoly, g: ExactPoly) -> ExactPoly:
     terms = {}
     for (ix, iy, ih1, ih2), c in product.items():
         if ih1 == a and ih2 == b:
-            terms[(ix, iy)] = terms.get((ix, iy), QQi()) + c
-    scale = Fraction(factorial(a) * factorial(b))
-    return ExactPoly({k: v * scale for k, v in terms.items()}, f.basis)
+            terms[(ix, iy)] = _add(terms.get((ix, iy), QQi()), c)
+    scale = QQi(Fraction(factorial(a) * factorial(b)))
+    return ExactPoly({k: _mul(v, scale) for k, v in terms.items()}, f.basis)
 
 
 def product_oracle(f: ExactPoly, g: ExactPoly) -> ExactPoly:
-    """f * g by the schoolbook sum over term pairs, in QQi arithmetic."""
+    """f * g by the schoolbook sum over term pairs."""
     assert f.basis is g.basis
     out = {}
     for (i1, j1), c1 in f.terms.items():
         for (i2, j2), c2 in g.terms.items():
             key = (i1 + i2, j1 + j2)
-            out[key] = out.get(key, QQi()) + c1 * c2
+            out[key] = _add(out.get(key, QQi()), _mul(c1, c2))
     return ExactPoly(out, f.basis)
 
 
 def sum_oracle(f: ExactPoly, g: ExactPoly) -> ExactPoly:
-    """f + g term by term, in QQi arithmetic."""
+    """f + g term by term."""
     assert f.basis is g.basis
     out = f.terms
     for key, c in g.terms.items():
-        out[key] = out.get(key, QQi()) + c
+        out[key] = _add(out.get(key, QQi()), c)
     return ExactPoly(out, f.basis)
 
 
 def scale_oracle(f: ExactPoly, c: QQi) -> ExactPoly:
-    """c f, one QQi product per term."""
-    return ExactPoly({key: v * c for key, v in f.terms.items()}, f.basis)
+    """c f, one ``_mul`` per term."""
+    return ExactPoly({key: _mul(v, c) for key, v in f.terms.items()}, f.basis)
 
 
 def diff_oracle(f: ExactPoly, axis: int, order: int) -> ExactPoly:
     """The order-th partial derivative along axis 0 or 1 by the power rule,
-    one QQi product per term."""
+    one ``_mul`` per term."""
     out = {}
     for (i, j), c in f.terms.items():
         e = (i, j)[axis]
         if e >= order:
             key = (i - order, j) if axis == 0 else (i, j - order)
-            out[key] = c * Fraction(_falling(e, order))
+            out[key] = _mul(c, QQi(Fraction(_falling(e, order))))
     return ExactPoly(out, f.basis)
 
 
@@ -149,14 +172,15 @@ def substitute_oracle(poly: ExactPoly) -> ExactPoly:
 
 
 def eval_oracle(poly: ExactPoly, a, b) -> QQi:
-    """poly at exact values a, b of its two variables, term by term."""
+    """poly at exact values a, b (QQi or rational) of its two variables, term
+    by term."""
     total = QQi()
     for (i, j), c in poly.terms.items():
         term = c
         for value, power in ((a, i), (b, j)):
             for _ in range(power):
-                term = term * value
-        total = total + term
+                term = _mul(term, QQi.of(value))
+        total = _add(total, term)
     return total
 
 
@@ -181,11 +205,11 @@ def division_oracle(f: ExactPoly, g: ExactPoly) -> tuple:
         if di < 0 or dj < 0:
             stuck[lead_r] = cr
             continue
-        factor = cr / cg
-        quot[(di, dj)] = quot.get((di, dj), QQi()) + factor
+        factor = _div(cr, cg)
+        quot[(di, dj)] = _add(quot.get((di, dj), QQi()), factor)
         for (gi, gj), gc in gt.items():
             key = (gi + di, gj + dj)
-            s = rem.get(key, QQi()) - factor * gc
+            s = _sub(rem.get(key, QQi()), _mul(factor, gc))
             if s.is_zero():
                 rem.pop(key, None)
             else:

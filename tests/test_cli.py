@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from lumps import classify, cli, lax
+from lumps import catalog, classify, cli, cm, lax
 from lumps.cli import RunReport, main
 from lumps.polyring import poly_xy, poly_zz
 
@@ -24,14 +25,14 @@ def run(capsys, *argv):
     return code, report, out.err
 
 
-def fresh_python(*argv):
+def fresh_python(*argv, timeout=120):
     """Run ``python argv...`` in a new interpreter with this checkout's src."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     return subprocess.run([sys.executable, *argv], capture_output=True,
-                          text=True, env=env, timeout=120)
+                          text=True, env=env, timeout=timeout)
 
 
 class TestVerify:
@@ -56,9 +57,14 @@ class TestVerify:
         assert len(report["results"]["residual_terms"]) == 10
 
     def test_unknown_id_exits_two(self, capsys):
-        code, _, err = run(capsys, "verify", "--tau", "nope")
-        assert code == 2
-        assert "unknown tau id" in err
+        known = sorted(catalog.catalog())
+        for argv, rec_id in ((["verify", "--tau", "nope"], "nope"),
+                             (["energy", "--tau", "nope"], "nope"),
+                             (["cm-check", "--tau", "nope"], "nope-bnew")):
+            code, report, err = run(capsys, *argv)
+            assert code == 2
+            assert report is None
+            assert err == f"error: unknown tau id {rec_id!r}; known: {known}\n"
 
     def test_unbound_param_exits_two(self, capsys):
         code, _, err = run(capsys, "verify", "--tau", "yang6",
@@ -144,11 +150,25 @@ class TestVerify:
     def test_unreadable_path_exits_two(self, capsys, tmp_path):
         binary = tmp_path / "tau.bin"
         binary.write_bytes(bytes(range(256)))
-        for spec in (str(tmp_path), str(binary), "a" * 300):
+        for spec in (str(tmp_path), str(binary), "a" * 300, os.devnull):
             code, report, err = run(capsys, "verify", "--tau", spec)
             assert code == 2
             assert report is None
             assert "cannot read polynomial file" in err
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+    def test_fifo_path_exits_two(self, tmp_path):
+        # a fresh interpreter with a timeout: opening a FIFO that has no
+        # writer blocks, which in-process would hang the suite
+        fifo = tmp_path / "tau.json"
+        os.mkfifo(fifo)
+        for argv in (["verify", "--tau", str(fifo)],
+                     ["energy", "--tau", "lump2-bnew", "--ratio-to", str(fifo)]):
+            proc = fresh_python("-m", "lumps.cli", *argv, timeout=30)
+            assert proc.returncode == 2
+            assert proc.stdout == ""
+            assert proc.stderr == (f"error: cannot read polynomial file {fifo}: "
+                                   "not a regular file\n")
 
     def test_catalog_id_wins_over_working_directory(self, capsys, tmp_path,
                                                      monkeypatch):
@@ -242,6 +262,27 @@ class TestScan:
         assert code == 1
         assert report["results"]["uncertified"] == [6]
         assert report["results"]["errors"] == []
+
+    @pytest.mark.parametrize("name, error", [
+        ("sigma_obstruction",
+         "route disagreement at n=6: J=0, sigma_obstruction=1"),
+        ("j_obstruction", "no exact value at n=6"),
+    ])
+    def test_row_error_fails_the_scan(self, capsys, monkeypatch, name, error):
+        # sigma turns nonzero at n = 6, where J vanishes; J raises there
+        real = getattr(classify, name)
+
+        def patched(n):
+            if n != 6:
+                return real(n)
+            if name == "sigma_obstruction":
+                return Fraction(1)
+            raise ArithmeticError("no exact value at n=6")
+
+        monkeypatch.setattr(classify, name, patched)
+        code, report, _ = run(capsys, "scan-jn", "--max-n", "6")
+        assert code == 1
+        assert report["results"]["errors"] == [error]
 
     def test_bad_route_exits_two(self, capsys):
         code, _, err = run(capsys, "scan-jn", "--max-n", "5",
@@ -393,6 +434,16 @@ class TestCmCheck:
         assert row["error"].startswith("residual is not finite (locus nan")
         assert report["results"]["within_tolerance"] is False
 
+    def test_missed_root_residual_fails_the_row(self, capsys, monkeypatch):
+        real = cm.np.roots
+        monkeypatch.setattr(cm.np, "roots", lambda c: real(c) + 1e-3)
+        code, report, _ = run(capsys, "cm-check", "--tau", "lump2", "--y", "1")
+        assert code == 1
+        row, = report["results"]["rows"]
+        assert row["error"].startswith(
+            "companion roots miss the scaled residual bound 1e-10")
+        assert report["results"]["within_tolerance"] is False
+
     def test_explicit_bnew_id(self, capsys):
         code, report, _ = run(capsys, "cm-check", "--tau", "pelin6-bnew",
                               "--y", "0")
@@ -471,6 +522,19 @@ class TestEnergyAndDegree:
                               "--ratio-to", "lump2-bnew")
         assert code == 0
         assert abs(report["results"]["ratio"] - 3.0) < 0.2
+
+    def test_energy_unknown_ratio_to_exits_before_quadrature(self, capsys,
+                                                             monkeypatch):
+        calls = []
+        real = cli.cat.energy
+        monkeypatch.setattr(cli.cat, "energy",
+                            lambda *a, **k: calls.append(a) or real(*a, **k))
+        code, report, err = run(capsys, "energy", "--tau", "pelin6-bnew",
+                                "--ratio-to", "nope")
+        assert code == 2
+        assert report is None
+        assert err.startswith("error: unknown tau id 'nope'")
+        assert calls == []
 
     def test_energy_wrong_record_exits_two(self, capsys):
         code, _, err = run(capsys, "energy", "--tau", "lump2")
@@ -639,3 +703,22 @@ class TestReport:
         assert report["command"] == argv[0]
         assert report["exact"] is exact
         assert proc.stderr == ""
+
+
+class TestReadme:
+    def test_command_line_block_runs(self, capsys, monkeypatch, tmp_path):
+        # every `lumps` line of README's "Command line" block, with the
+        # placeholder path replaced by a written lump2 interchange file
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("## Command line", 1)[1].split("```")[1]
+        lines = [line for line in block.splitlines() if line.startswith("lumps ")]
+        assert lines
+        poly = tmp_path / "poly.json"
+        poly.write_text(poly_xy({(2, 0): 1, (0, 2): 1, (0, 0): 3}).dumps())
+        monkeypatch.chdir(tmp_path)
+        for line in lines:
+            argv = [str(poly) if a == "/path/to/poly.json" else a
+                    for a in shlex.split(line)[1:]]
+            code, report, _ = run(capsys, *argv)
+            assert code == 0, line
+            assert report["command"] == argv[0]

@@ -252,6 +252,11 @@ class TestRootUtilities:
         roots = cm.roots_exact_poly([Fraction(3), Fraction(0), Fraction(1)])
         assert sorted(r.imag for r in roots) == pytest.approx([-SQRT3, SQRT3])
 
+    def test_trailing_zero_coefficients_dropped(self):
+        # -2 + x + 0 x^2 is linear, with the one root 2
+        roots = cm.roots_exact_poly([Fraction(-2), Fraction(1), Fraction(0)])
+        assert roots.tolist() == [2]
+
     def test_monic_overflow_raises_without_warning(self):
         # 1e-300 x^2 + 1e300: the monic constant term 1e600 is past float range
         with warnings.catch_warnings():

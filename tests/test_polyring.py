@@ -14,29 +14,19 @@ from lumps.polyring import (
     ONE, Basis, BasisMismatchError, ExactDivisionError, ExactPoly, QQi,
     poly_xy, poly_zz, r_squared)
 from oracles import (
-    diff_oracle, division_oracle, product_oracle, scale_oracle,
+    _div, diff_oracle, division_oracle, product_oracle, scale_oracle,
     substitute_oracle, sum_oracle)
 
 
 class TestQQi:
-    def test_field_ops(self):
-        a = QQi(Fraction(1, 2), Fraction(-3))
-        b = QQi(Fraction(2), Fraction(1, 3))
-        assert (a + b) - b == a
-        assert (a * b) / b == a
-        assert a * conjugate(a) == QQi(a.re * a.re + a.im * a.im)
-
-    def test_division_by_zero(self):
-        with pytest.raises(ZeroDivisionError):
-            QQi(Fraction(1)) / QQi()
+    def test_no_arithmetic(self):
+        for op in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+                   "__rmul__", "__truediv__", "__neg__", "__complex__"):
+            assert op not in vars(QQi), op
 
     def test_json_roundtrip(self):
         for v in (QQi(Fraction(-3, 17)), QQi(Fraction(5)), QQi(Fraction(1, 2), Fraction(-2, 7))):
             assert QQi.from_json(v.to_json()) == v
-
-    @given(gaussian_rationals(), gaussian_rationals(), gaussian_rationals())
-    def test_mul_distributes(self, a, b, c):
-        assert a * (b + c) == a * b + a * c
 
 
 class TestArithmetic:
@@ -266,7 +256,7 @@ class TestStoredForm:
         q = ExactPoly(q.terms, p.basis)
         assert p + q - q == p
         if not c.is_zero():
-            assert p.scale(c).scale(ONE / c) == p
+            assert p.scale(c).scale(_div(ONE, c)) == p
 
     @settings(max_examples=80)
     @given(any_polys, any_polys, gaussian_rationals(), st.integers(0, 1),
