@@ -162,10 +162,10 @@ def cmd_scan_jn(args):
             raise UsageError(f"cannot write --out {args.out}: {exc}") from None
     errors = [r.error for r in rows if r.error]
     uncertified = [r.n for r in rows if r.gamma_all_nonzero is False]
-    zero_rows = [r.n for r in rows if r.is_zero]
     triangulars = [r.n for r in rows if r.triangular]
-    law_holds = (zero_rows == triangulars) if any(
-        r in routes for r in ("J", "sigma")) else None
+    obstructed = "J" in routes or "sigma" in routes
+    zero_rows = [r.n for r in rows if r.is_zero] if obstructed else None
+    law_holds = zero_rows == triangulars if obstructed else None
     results = {
         "rows": len(rows),
         "zero_set": zero_rows,

@@ -131,10 +131,15 @@ class TestEnergy:
         H2 = cat.energy(CAT["lump2-bnew"], half_width=60.0, step=0.1)
         assert H2 == pytest.approx(1.3660288, abs=1e-5)
 
-    def test_ratio_near_three(self):
+    @pytest.mark.parametrize("rid, target, tol", [
+        ("pelin6-bnew", 3, 0.1),               # k = 2
+        ("pelin12-corrected-bnew", 6, 0.3),    # k = 3, within 5 %
+    ])
+    def test_ratio_near_half_triangular(self, rid, target, tol):
+        # H_k/H_1 = k(k+1)/2 on a coarse window
         H2 = cat.energy(CAT["lump2-bnew"], half_width=60.0, step=0.1)
-        H6 = cat.energy(CAT["pelin6-bnew"], half_width=60.0, step=0.1)
-        assert H6 / H2 == pytest.approx(3.0, abs=0.1)
+        H = cat.energy(CAT[rid], half_width=60.0, step=0.1)
+        assert H / H2 == pytest.approx(target, abs=tol)
 
     def test_wrong_normalization_rejected(self):
         with pytest.raises(ValueError, match="normalization"):

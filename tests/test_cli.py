@@ -11,9 +11,10 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+import numpy
 import pytest
 
-from lumps import catalog, classify, cli, cm, lax
+from lumps import catalog, classify, cli, lax
 from lumps.cli import RunReport, main
 from lumps.polyring import poly_xy, poly_zz
 
@@ -262,6 +263,9 @@ class TestScan:
         assert code == 1
         assert report["results"]["uncertified"] == [6]
         assert report["results"]["errors"] == []
+        # no obstruction route ran on "gamma" alone, so there is no zero set
+        assert report["results"]["zero_set"] == (
+            None if routes == "gamma" else [1, 3, 6, 10])
 
     @pytest.mark.parametrize("name, error", [
         ("sigma_obstruction",
@@ -435,8 +439,8 @@ class TestCmCheck:
         assert report["results"]["within_tolerance"] is False
 
     def test_missed_root_residual_fails_the_row(self, capsys, monkeypatch):
-        real = cm.np.roots
-        monkeypatch.setattr(cm.np, "roots", lambda c: real(c) + 1e-3)
+        real = numpy.roots
+        monkeypatch.setattr(numpy, "roots", lambda c: real(c) + 1e-3)
         code, report, _ = run(capsys, "cm-check", "--tau", "lump2", "--y", "1")
         assert code == 1
         row, = report["results"]["rows"]
@@ -705,20 +709,37 @@ class TestReport:
         assert proc.stderr == ""
 
 
+def readme_lumps_lines(heading):
+    """The argv of every `lumps` line in README's first code block under
+    heading."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split(f"## {heading}", 1)[1].split("```")[1]
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("lumps ")]
+
+
 class TestReadme:
-    def test_command_line_block_runs(self, capsys, monkeypatch, tmp_path):
-        # every `lumps` line of README's "Command line" block, with the
-        # placeholder path replaced by a written lump2 interchange file
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-        block = readme.split("## Command line", 1)[1].split("```")[1]
-        lines = [line for line in block.splitlines() if line.startswith("lumps ")]
+    def run_lines(self, capsys, monkeypatch, tmp_path, lines):
+        # exit 0 and one report each, with the placeholder path replaced by a
+        # written lump2 interchange file
         assert lines
         poly = tmp_path / "poly.json"
         poly.write_text(poly_xy({(2, 0): 1, (0, 2): 1, (0, 0): 3}).dumps())
         monkeypatch.chdir(tmp_path)
         for line in lines:
-            argv = [str(poly) if a == "/path/to/poly.json" else a
-                    for a in shlex.split(line)[1:]]
+            argv = [str(poly) if a == "/path/to/poly.json" else a for a in line]
             code, report, _ = run(capsys, *argv)
             assert code == 0, line
             assert report["command"] == argv[0]
+
+    def test_command_line_block_runs(self, capsys, monkeypatch, tmp_path):
+        self.run_lines(capsys, monkeypatch, tmp_path,
+                       readme_lumps_lines("Command line"))
+
+    def test_experiment_block_runs(self, capsys, monkeypatch, tmp_path):
+        # a line that repeats a "Command line" invocation is run by the test
+        # above, so only the others run here
+        shown = readme_lumps_lines("Command line")
+        lines = readme_lumps_lines("Experiments")
+        self.run_lines(capsys, monkeypatch, tmp_path,
+                       [line for line in lines if line not in shown])

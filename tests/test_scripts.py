@@ -1,4 +1,5 @@
-"""The experiment scripts under scripts/, run in-process with stdout pinned."""
+"""The degree-12 erratum exhibit, scripts/reconstruct_degree12.py, run
+in-process with stdout pinned, and its polarization screen."""
 
 import importlib.util
 import io
@@ -81,24 +82,3 @@ def test_degree12_full_residuals_counted(monkeypatch):
     fixes = module.corrected_candidates(printed_zz, tau0, R0)
     assert [slot for slot, _ in fixes] == [(2, 0)]
     assert len(calls) == 20 and all(form is STANDARD for form in calls)
-
-
-def test_run_scan(tmp_path):
-    out = tmp_path / "scan.csv"
-    code, lines = run_script("run_scan", "--max-n", "30", "--out", str(out))
-    assert code == 0
-    assert lines[-1] == "zero sets equal the triangulars on both routes: True"
-    assert out.read_text().startswith("n,")
-
-
-def test_uniqueness_certificates():
-    code, lines = run_script("uniqueness_certificates", "--max-k", "5")
-    assert code == 0
-    assert lines[-1] == "unique even solution certified for all k <= 5: True"
-
-
-def test_energy_quantization():
-    code, lines = run_script("energy_quantization", "--half-width", "60",
-                             "--step", "0.1")
-    assert code == 0
-    assert lines[-1] == "all ratios within 5% of k(k+1)/2: True"
