@@ -1,17 +1,18 @@
 """Degree classification and even-solution uniqueness certificates.
 
-Everything here is exact rational arithmetic.  Three routes are implemented:
+Everything here is exact rational arithmetic.  Three routes are implemented,
+each reading its obstruction as the first chain value past the last monomial:
 
-* the J route: the quadratic recursion for the coefficients a_m of the
-  leading chain (x^2+y^2)^{n-3m} x^{2m} y^{2m}, whose terminal mismatch J_n
-  must vanish for an even rational solution of degree 2n to exist;
+* the J route: the coefficients a_m of the leading chain (x^2+y^2)^{n-3m}
+  x^{2m} y^{2m}; J_n = -2 d(0, m) a_m at m = floor(n/3)+1 must vanish for an
+  even rational solution of degree 2n to exist;
 
 * the sigma route: the scalar chain sigma_j tracking the lowest
   zbar-degree monomial z^{n+j} zbar^{n-3j} of each homogeneous slice, with
   obstruction sigma_{floor(n/3)+1};
 
 * the gamma route: for each kernel direction z^n zbar^{n-2q} + (mirror),
-  the chain beta_j whose terminal value gamma_q certifies (when nonzero)
+  the chain beta_j whose value gamma_q = beta_{jbar} certifies (when nonzero)
   that the kernel coefficient is forced, hence the even solution is unique.
 
 The J and sigma routes are one recursion in two bases (x^2 y^2 =
@@ -27,7 +28,7 @@ oracle.  The calibration anchors are the triangular zero set of J_n, the
 identity sigma_1 = (n - n^2)/2 and the seven printed gamma values at n = 15,
 all pinned in the test-suite.
 
-The a/J and sigma summands are symmetric under i <-> j (d, C4 and the
+The a and sigma summands are symmetric under i <-> j (d, C4 and the
 Dz Dzbar eigenfactor depend on (i - j)^2, and i + j is fixed in a step), so
 those sums visit each pair i <= j once: the ordered sum is 2 x the
 off-diagonal terms plus the diagonal one.  The beta sum pairs sigma with
@@ -179,16 +180,10 @@ def a_seq(n: int, m_max: Optional[int] = None) -> List[Fraction]:
 
 
 def j_obstruction(n: int) -> Fraction:
-    """J_n: the terminal slice mismatch with indices capped at floor(n/3)."""
-    cap = n // 3
-    den, s = _over_lcm(a_seq(n, cap))
-    total = 0
-    for i, j, w in _pairs(cap + 1):
-        if j <= cap:
-            total += w * d_ij(i, j) * s[i] * s[j]
-    for i, j, w in _pairs(cap):
-        total -= w * p_ij(n, i, j) * s[i] * s[j]
-    return Fraction(total, den * den)
+    """J_n = -2 d(0, m) a_m at m = floor(n/3) + 1, the first chain value past
+    the last monomial: slice m has no g_m left to carry a_m's term."""
+    m = n // 3 + 1
+    return -2 * d_ij(0, m) * a_seq(n, m)[m]
 
 
 # ---------------------------------------------------------------------------
@@ -296,10 +291,6 @@ class UniquenessCertificate:
     n: int
     gammas: Dict[int, Fraction]
     all_nonzero: bool
-
-    @property
-    def unique_even(self) -> bool:
-        return self.all_nonzero
 
 
 def uniqueness_certificate(n: int) -> UniquenessCertificate:

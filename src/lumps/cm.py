@@ -44,6 +44,8 @@ class RootFindingError(RuntimeError):
 
 @dataclass(frozen=True)
 class PoleConfig:
+    """Poles eta and velocities beta; poles closer than GAP_THRESHOLD are refused."""
+
     eta: Tuple[complex, ...]
     beta: Tuple[complex, ...]
 
@@ -54,6 +56,10 @@ class PoleConfig:
     def __post_init__(self):
         if len(self.eta) != len(self.beta):
             raise ValueError("eta and beta must have equal length")
+        gap = self.min_gap()
+        if gap < GAP_THRESHOLD:
+            raise CoincidentPolesError(
+                f"minimum pole gap {gap:.3e} below threshold {GAP_THRESHOLD:.1e}")
 
     def min_gap(self) -> float:
         n = self.n
@@ -61,12 +67,6 @@ class PoleConfig:
             return math.inf
         return min(abs(self.eta[j] - self.eta[k])
                    for j in range(n) for k in range(j + 1, n))
-
-    def require_distinct(self) -> None:
-        gap = self.min_gap()
-        if gap < GAP_THRESHOLD:
-            raise CoincidentPolesError(
-                f"minimum pole gap {gap:.3e} below threshold {GAP_THRESHOLD:.1e}")
 
 
 @dataclass(frozen=True)
@@ -108,7 +108,6 @@ def locus_residual(cfg: PoleConfig) -> Tuple[List[complex], List[complex]]:
     First:  sum_{k != j} (beta_j + beta_k) / (eta_j - eta_k)^3
     Second: beta_j^2 + sum_{k != j} 36 / (eta_j - eta_k)^2 + 3
     """
-    cfg.require_distinct()
     beta = cfg.beta
     first = _pair_sums(cfg, 3, lambda j, k: beta[j] + beta[k])
     second = [b * b + s + 3.0
@@ -127,7 +126,6 @@ def tangent_residual(cfg: PoleConfig, vec: TangentVector
     The base configuration is assumed to lie on the locus; that is the
     caller's responsibility and is not re-checked here.
     """
-    cfg.require_distinct()
     if len(vec.a) != cfg.n:
         raise ValueError("tangent vector length does not match configuration")
     beta, a, b = cfg.beta, vec.a, vec.b
@@ -141,7 +139,6 @@ def tangent_residual(cfg: PoleConfig, vec: TangentVector
 
 def cm_rhs(cfg: PoleConfig) -> TangentVector:
     """The y-flow direction: a_j = beta_j, b_j = sum_{k != j} 72/(eta_j - eta_k)^3."""
-    cfg.require_distinct()
     return TangentVector(cfg.beta, tuple(_pair_sums(cfg, 3, lambda j, k: 72.0)))
 
 
@@ -232,6 +229,4 @@ def poles_from_tau(rec: TauRecord, y) -> PoleConfig:
             raise CoincidentPolesError(
                 f"repeated root suspected at eta={eta[tx == 0][0]}: tau_x vanishes")
         beta = -np.polyval(_floats(q[::-1]), eta) / tx
-    cfg = PoleConfig(tuple(eta.tolist()), tuple(beta.tolist()))
-    cfg.require_distinct()
-    return cfg
+    return PoleConfig(tuple(eta.tolist()), tuple(beta.tolist()))

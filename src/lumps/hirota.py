@@ -129,9 +129,7 @@ def hirota_d(a: int, b: int, f: ExactPoly, g: ExactPoly) -> ExactPoly:
     """D1^a D2^b f.g in the common basis of f and g, exactly."""
     if a < 0 or b < 0:
         raise ValueError("Hirota orders must be >= 0")
-    if f.basis is not g.basis:
-        # reuse the polyring error path for a uniform message
-        f._require_same_basis(g, "apply a Hirota operator to")
+    f._require_same_basis(g, "apply a Hirota operator to")
     return _bilinear(((ONE, a, b),), f, g, symmetric=False)
 
 
@@ -233,25 +231,21 @@ class BilinearForm:
         return _bilinear(self.terms, f, g, symmetric=False)
 
 
-def _form(name: str, *terms) -> BilinearForm:
-    return BilinearForm(name, tuple((QQi.of(Fraction(w)), a, b) for w, a, b in terms))
-
-
 #: Dx^4 - Dx^2 - Dy^2: bilinear Boussinesq with u = 2 dxx log tau.
-STANDARD = _form("standard", (1, 4, 0), (-1, 2, 0), (-1, 0, 2))
+STANDARD = BilinearForm("standard", ((1, 4, 0), (-1, 2, 0), (-1, 0, 2)))
 
 #: Dx^2 + Dy^2 - Dx^4: the even-solution section (standard negated).
-EVEN_SECTION = _form("even-section", (1, 2, 0), (1, 0, 2), (-1, 4, 0))
+EVEN_SECTION = BilinearForm("even-section", ((1, 2, 0), (1, 0, 2), (-1, 4, 0)))
 
 #: Dx^4 - 3 Dx^2 + 3 Dy^2: scaling used by the degree-6 two-parameter family.
-YANG = _form("yang", (1, 4, 0), (-3, 2, 0), (3, 0, 2))
+YANG = BilinearForm("yang", ((1, 4, 0), (-3, 2, 0), (3, 0, 2)))
 
 #: 3 Dx^4 - 3 Dx^2 - Dy^2: scaling with q = (3/2) dxx log tau and (x^2+3y^2)
 #: leading behavior; the normalization the pole-dynamics checks assume.
-BNEW = _form("bnew", (3, 4, 0), (-3, 2, 0), (-1, 0, 2))
+BNEW = BilinearForm("bnew", ((3, 4, 0), (-3, 2, 0), (-1, 0, 2)))
 
 #: Dx^4 - 3 Dx^2 - 3 Dy^2: the form the printed degree-6 family satisfies.
-YANG_ELLIPTIC = _form("yang-elliptic", (1, 4, 0), (-3, 2, 0), (-3, 0, 2))
+YANG_ELLIPTIC = BilinearForm("yang-elliptic", ((1, 4, 0), (-3, 2, 0), (-3, 0, 2)))
 
 PRESETS = {f.name: f for f in (STANDARD, EVEN_SECTION, YANG, YANG_ELLIPTIC, BNEW)}
 
@@ -262,5 +256,5 @@ def custom_form(spec: Sequence, basis: Basis = Basis.XY) -> BilinearForm:
     if not (isinstance(spec, (list, tuple)) and spec and all(
             isinstance(t, (list, tuple)) and len(t) == 3 for t in spec)):
         raise ValueError("a custom form is a non-empty list of [weight, a, b] triples")
-    terms = tuple((QQi.of(Fraction(str(w))), a, b) for w, a, b in spec)
+    terms = tuple((Fraction(str(w)), a, b) for w, a, b in spec)
     return BilinearForm("custom", terms, basis)

@@ -234,7 +234,7 @@ class TestGammaRoute:
 
     def test_certificates(self):
         cert = cl.uniqueness_certificate(15)
-        assert cert.all_nonzero and cert.unique_even
+        assert cert.all_nonzero
         assert len(cert.gammas) == 7
         # vacuous at n = 1
         cert1 = cl.uniqueness_certificate(1)

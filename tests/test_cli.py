@@ -326,6 +326,7 @@ class TestCertify:
         assert gammas["1"] == "3219950475/374"
         assert gammas["7"] == "-5460/17"
         assert report["results"]["all_nonzero"] is True
+        assert report["results"]["unique_even"] is True
 
     @pytest.mark.parametrize("n", ["0", "-3"])
     def test_n_below_one_is_usage_error(self, capsys, n):

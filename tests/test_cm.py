@@ -76,9 +76,8 @@ class TestLocus:
         assert abs(r2[0]) < 1e-14
 
     def test_coincident_poles_rejected(self):
-        cfg = cm.PoleConfig((1j, 1j + 1e-12), (0j, 0j))
-        with pytest.raises(cm.CoincidentPolesError):
-            cm.locus_residual(cfg)
+        with pytest.raises(cm.CoincidentPolesError, match="below threshold 1.0e-08"):
+            cm.PoleConfig((1j, 1j + 1e-12), (0j, 0j))
 
 
 class TestPairSums:
