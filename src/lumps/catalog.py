@@ -60,6 +60,12 @@ class TauRecord:
     params: Tuple[str, ...] = ()
     notes: str = ""
 
+    @classmethod
+    def plain(cls, id: str, poly: ExactPoly, c: "int | Fraction",
+              form: BilinearForm, notes: str = "") -> "TauRecord":
+        """A parameter-free record of one polynomial."""
+        return cls(id, (((), poly),), Fraction(c), form, (), notes)
+
     def bind(self, bindings: Optional[Dict[str, Fraction]] = None) -> ExactPoly:
         """Assemble the concrete polynomial at exact parameter values."""
         bindings = dict(bindings or {})
@@ -91,28 +97,20 @@ class TauRecord:
     def _bound(self) -> ExactPoly:
         return self.bind({})
 
-
-@dataclass(frozen=True)
-class VerifyResult:
-    record_id: str
-    form_name: str
-    is_solution: bool
-    residual: ExactPoly
-
-    def residual_terms(self, limit: int = 10) -> List[list]:
-        keys = sorted(self.residual.numerators()[1],
-                      key=lambda k: (-(k[0] + k[1]), -k[0]))
-        return [[i, j, self.residual.coeff(i, j).to_json()]
-                for (i, j) in keys[:limit]]
+    def require_bnew(self, caller: str) -> None:
+        """ValueError unless c = 3/2, the scaling of the "-bnew" records that
+        the energy and the pole dynamics assume."""
+        if self.scale_c != Fraction(3, 2):
+            raise ValueError(
+                f"{caller} expects the (3/2) dxx log tau normalization; record "
+                f"{self.id!r} has c = {self.scale_c} (use its -bnew variant)")
 
 
 def verify_tau(rec: TauRecord, bindings: Optional[Dict[str, Fraction]] = None,
-               form: Optional[BilinearForm] = None) -> VerifyResult:
-    """Exact residual of the record's bilinear form on the bound polynomial."""
-    tau = rec.bind(bindings)
-    f = form if form is not None else rec.form
-    residual = f.residual(tau)
-    return VerifyResult(rec.id, f.name, residual.is_zero(), residual)
+               form: Optional[BilinearForm] = None) -> ExactPoly:
+    """Exact residual of a bilinear form, the record's own unless given, on
+    the bound polynomial: tau solves the form exactly when it is zero."""
+    return (form or rec.form).residual(rec.bind(bindings))
 
 
 # ---------------------------------------------------------------------------
@@ -209,10 +207,7 @@ def energy(rec: TauRecord, half_width: float = 200.0, step: float = 0.05
         raise ValueError(
             f"half_width/step = {cells} exceeds {MAX_ENERGY_CELLS} grid cells "
             "per side")
-    if rec.scale_c != Fraction(3, 2):
-        raise ValueError(
-            f"energy expects the (3/2) dxx log tau normalization; record "
-            f"{rec.id!r} has c = {rec.scale_c} (use its -bnew variant)")
+    rec.require_bnew("energy")
     tau = rec.tau()
     if any(i % 2 or j % 2 for (i, j) in tau.numerators()[1]):
         raise ValueError("energy quadrature assumes tau even in x and y")
@@ -424,18 +419,14 @@ def _yang6_components():
     )
 
 
-def _plain(id_, poly, c, form, notes=""):
-    return TauRecord(id_, (((), poly),), Fraction(c), form, (), notes)
-
-
 def build_catalog() -> Dict[str, TauRecord]:
     F = Fraction
     recs: List[TauRecord] = []
 
-    recs.append(_plain(
+    recs.append(TauRecord.plain(
         "lump2", _lump2(), 2, STANDARD,
         "classical lump; u = 2 dxx log tau"))
-    recs.append(_plain(
+    recs.append(TauRecord.plain(
         "pelin6", _pelin6(), 12, STANDARD,
         "degree-6 even solution; u = 12 dxx log tau"))
     recs.append(TauRecord(
@@ -443,19 +434,19 @@ def build_catalog() -> Dict[str, TauRecord]:
         "two-parameter degree-6 family; satisfies Dx^4-3Dx^2-3Dy^2 exactly. "
         "The transverse sign printed with the family ('+3 u_yy', preset "
         "'yang') is an erratum: the printed polynomials fail that form."))
-    recs.append(_plain(
+    recs.append(TauRecord.plain(
         "pelin12", _pelin12(corrected=False), 2, STANDARD,
         "degree-12 entry exactly as printed; fails the standard form with a "
         "27-monomial residual (documented transcription erratum in the "
         "z^2+zbar^2 coefficient)."))
-    recs.append(_plain(
+    recs.append(TauRecord.plain(
         "pelin12-corrected", _pelin12(corrected=True), 2, STANDARD,
         "degree-12 entry with the z^2+zbar^2 coefficient replaced by "
         "-35277550/3; exact solution, unique by the n=6 gamma certificate."))
 
     for rid in ("lump2", "pelin6", "pelin12-corrected"):
         src = next(r for r in recs if r.id == rid)
-        recs.append(_plain(
+        recs.append(TauRecord.plain(
             rid + "-bnew", _sqrt3_y_rescale(src.tau()), F(3, 2), BNEW,
             f"y -> sqrt(3) y rescaling of {rid}; q = (3/2) dxx log tau"))
 

@@ -29,7 +29,7 @@ from typing import Any, Dict, Optional
 from . import catalog as cat
 from . import classify, cm, lax
 from .hirota import PRESETS, STANDARD, custom_form
-from .polyring import Basis, ExactPoly
+from .polyring import Basis, ExactPoly, grlex
 
 
 class UsageError(Exception):
@@ -123,7 +123,7 @@ def _load_record(spec: str):
         raise UsageError(f"malformed polynomial file {spec}: {exc}") from exc
     if poly.basis is Basis.ZZBAR:
         poly = poly.to_xy()
-    return cat.TauRecord(path.stem, (((), poly),), Fraction(2), STANDARD, ())
+    return cat.TauRecord.plain(path.stem, poly, 2, STANDARD)
 
 
 # ---------------------------------------------------------------------------
@@ -132,21 +132,23 @@ def _load_record(spec: str):
 
 def cmd_verify(args):
     rec = _load_record(args.tau)
-    form = _resolve_form(args.form, args.custom_form)
+    form = _resolve_form(args.form, args.custom_form) or rec.form
     bindings = _parse_params(args.param)
     try:
-        result = cat.verify_tau(rec, bindings, form)
+        residual = cat.verify_tau(rec, bindings, form)
     except cat.ParameterBindingError as exc:
         raise UsageError(str(exc)) from None
+    leading = sorted(residual.numerators()[1], key=grlex)[:10]
     results = {
-        "id": result.record_id,
-        "is_solution": result.is_solution,
-        "residual_term_count": result.residual.num_terms(),
-        "residual_terms": result.residual_terms(10),
+        "id": rec.id,
+        "is_solution": residual.is_zero(),
+        "residual_term_count": residual.num_terms(),
+        "residual_terms": [[i, j, residual.coeff(i, j).to_json()]
+                           for (i, j) in leading],
         "notes": rec.notes,
     }
-    inputs = {"tau": args.tau, "form": result.form_name, "params": bindings}
-    return inputs, results, result.is_solution
+    inputs = {"tau": args.tau, "form": form.name, "params": bindings}
+    return inputs, results, residual.is_zero()
 
 
 def cmd_scan_jn(args):

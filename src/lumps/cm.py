@@ -214,10 +214,7 @@ def poles_from_tau(rec: TauRecord, y) -> PoleConfig:
     The record must be in the (3/2) dxx log tau normalization (a "-bnew"
     catalog variant): the locus constants assume it.
     """
-    if rec.scale_c != Fraction(3, 2):
-        raise ValueError(
-            f"poles_from_tau expects the (3/2)-normalization; record "
-            f"{rec.id!r} has c = {rec.scale_c} (use its -bnew variant)")
+    rec.require_bnew("poles_from_tau")
     p, q = _at_height(rec.tau(), Fraction(y))
     eta = roots_exact_poly(p)
     dp = _floats([i * c for i, c in enumerate(p)][:0:-1])

@@ -250,11 +250,11 @@ YANG_ELLIPTIC = BilinearForm("yang-elliptic", ((1, 4, 0), (-3, 2, 0), (-3, 0, 2)
 PRESETS = {f.name: f for f in (STANDARD, EVEN_SECTION, YANG, YANG_ELLIPTIC, BNEW)}
 
 
-def custom_form(spec: Sequence, basis: Basis = Basis.XY) -> BilinearForm:
+def custom_form(spec: Sequence) -> BilinearForm:
     """Build a form from a non-empty list of (weight, a, b) triples; weights
     parsed as Fractions.  An empty form would be solved by every tau."""
     if not (isinstance(spec, (list, tuple)) and spec and all(
             isinstance(t, (list, tuple)) and len(t) == 3 for t in spec)):
         raise ValueError("a custom form is a non-empty list of [weight, a, b] triples")
     terms = tuple((Fraction(str(w)), a, b) for w, a, b in spec)
-    return BilinearForm("custom", terms, basis)
+    return BilinearForm("custom", terms)

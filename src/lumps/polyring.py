@@ -110,15 +110,10 @@ class Basis(Enum):
         return ("x", "y") if self is Basis.XY else ("z", "zbar")
 
 
-def _axis_index(basis: Basis, var: "int | str") -> int:
-    if isinstance(var, int):
-        if var in (0, 1):
-            return var
-        raise ValueError(f"axis index must be 0 or 1, got {var}")
-    names = basis.axes
-    if var in names:
-        return names.index(var)
-    raise ValueError(f"unknown axis {var!r} for basis {basis.value}")
+def grlex(key: tuple) -> tuple:
+    """Sort key of exponent pairs in descending graded order: the highest
+    total degree first, and within a degree the highest x (or z) power."""
+    return (-(key[0] + key[1]), -key[0])
 
 
 class ExactPoly:
@@ -206,7 +201,7 @@ class ExactPoly:
             return f"ExactPoly(0, {self.basis.value})"
         vx, vy = self.basis.axes
         parts = []
-        for (i, j) in sorted(self._num, key=lambda k: (-(k[0] + k[1]), -k[0])):
+        for (i, j) in sorted(self._num, key=grlex):
             mon = "".join(
                 f"*{v}^{e}" for v, e in ((vx, i), (vy, j)) if e)
             parts.append(f"({self.coeff(i, j)}){mon}")
@@ -270,11 +265,12 @@ class ExactPoly:
 
     # -- calculus -----------------------------------------------------
 
-    def diff(self, var: "int | str", order: int = 1) -> "ExactPoly":
-        """Exact partial derivative in the basis's own variables."""
+    def diff(self, axis: int, order: int = 1) -> "ExactPoly":
+        """Exact partial derivative in the basis's variable 0 or 1."""
+        if axis not in (0, 1):
+            raise ValueError(f"axis index must be 0 or 1, got {axis!r}")
         if order < 0:
             raise ValueError("derivative order must be >= 0")
-        axis = _axis_index(self.basis, var)
         num = self._num
         for _ in range(order):
             out = {}
@@ -305,11 +301,7 @@ class ExactPoly:
         self._require_same_basis(divisor, "divide")
         if divisor.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
-
-        def order_key(key):
-            return (key[0] + key[1], key[0])
-
-        lead_g = max(divisor._num, key=order_key)
+        lead_g = min(divisor._num, key=grlex)
         gr0, gm0 = divisor._num[lead_g]
         norm, den_g = gr0 * gr0 + gm0 * gm0, divisor._den
         tail = [(key, g) for key, g in divisor._num.items() if key != lead_g]
@@ -318,7 +310,7 @@ class ExactPoly:
         quot: dict = {}
         stuck: dict = {}
         while rem:
-            lead_r = max(rem, key=order_key)
+            lead_r = min(rem, key=grlex)
             rr, rm = rem.pop(lead_r)
             di, dj = lead_r[0] - lead_g[0], lead_r[1] - lead_g[1]
             if di < 0 or dj < 0:
@@ -372,9 +364,10 @@ class ExactPoly:
         the second one.  Term (i, j) contributes c first^i second^j /
         den^(i+j), a Gaussian integer over D den^T (D the common denominator
         of self's coefficients, T the total degree).  Terms are added in
-        sorted order and a sum that cancels is dropped, which fixes the order
-        of the result's monomials: float code that walks them (the energy
-        tables, pole evaluation) sums in that order.
+        sorted order and a sum that cancels is dropped, which makes the order
+        of the result's monomials deterministic.  No float result depends on
+        that order: the energy tables are filled by index and the pole
+        evaluation sums exact integers.
         """
         def powers(form, n):
             (pr, pm), (qr, qm) = form

@@ -55,7 +55,14 @@ class TestVerify:
         code, report, _ = run(capsys, "verify", "--tau", "pelin12")
         assert code == 1
         assert report["results"]["is_solution"] is False
-        assert len(report["results"]["residual_terms"]) == 10
+        assert report["results"]["residual_term_count"] == 27
+        listed = report["results"]["residual_terms"]
+        assert len(listed) == 10
+        # the highest-degree offending monomial first, then descending
+        # graded order: total degree, then the x power
+        assert listed[0][:2] == [12, 0]
+        keys = [(i + j, i) for i, j, _ in listed]
+        assert keys == sorted(keys, reverse=True)
 
     def test_unknown_id_exits_two(self, capsys):
         known = sorted(catalog.catalog())
@@ -594,8 +601,8 @@ class TestEnergyAndDegree:
         # the last band; the report names the cause and no worker is left
         tau = poly_xy({(2, 2): 1, (2, 0): Fraction(-1225, 64), (0, 2): 1,
                        (0, 0): Fraction(-1225, 64)})
-        rec = cli.cat.TauRecord("band-cone", (((), tau),), Fraction(3, 2),
-                                cli.cat.BNEW, ())
+        rec = cli.cat.TauRecord.plain("band-cone", tau, Fraction(3, 2),
+                                      cli.cat.BNEW)
         monkeypatch.setitem(cli.cat.catalog(), "band-cone", rec)
         monkeypatch.setattr(cli.cat, "_workers", lambda rows: workers)
         code, report, _ = run(capsys, "energy", "--tau", "band-cone",
@@ -650,9 +657,10 @@ class TestReport:
             report.emit(io.StringIO())
 
     def test_import_loads_no_process_pool(self):
-        # a fresh interpreter: importing the CLI stays free of multiprocessing
+        # a fresh interpreter: importing the CLI stays free of multiprocessing,
+        # and of sympy and mpmath, which the tests keep as independent oracles
         code = ("import sys, lumps.cli; print(sorted(m for m in sys.modules if m in "
-                "('multiprocessing', 'concurrent.futures')))")
+                "('multiprocessing', 'concurrent.futures', 'sympy', 'mpmath')))")
         proc = fresh_python("-c", code)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"

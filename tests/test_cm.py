@@ -192,8 +192,8 @@ class TestPolesFromTau:
 
     def test_double_root_rejected(self):
         # tau(x, 0) = x^2: the companion roots are exact, and tau_x is 0 there
-        rec = TauRecord("double", (((), poly_xy({(2, 0): 1, (0, 2): 1})),),
-                        Fraction(3, 2), BNEW)
+        rec = TauRecord.plain("double", poly_xy({(2, 0): 1, (0, 2): 1}),
+                              Fraction(3, 2), BNEW)
         with pytest.raises(cm.CoincidentPolesError, match="tau_x vanishes"):
             cm.poles_from_tau(rec, Fraction(0))
 

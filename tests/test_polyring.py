@@ -101,11 +101,12 @@ class TestDiff:
         f = poly_xy({(2, 3): 5, (1, 1): 1})
         assert f.diff(1, 4).is_zero()
 
-    def test_axis_by_name(self):
+    def test_axis_is_an_index(self):
         f = poly_xy({(1, 1): 1})
-        assert f.diff("x") == poly_xy({(0, 1): 1})
-        with pytest.raises(ValueError):
-            f.diff("z")
+        assert f.diff(0) == poly_xy({(0, 1): 1})
+        for axis in ("x", 2):
+            with pytest.raises(ValueError, match="axis index must be 0 or 1"):
+                f.diff(axis)
 
 
 class TestBasisConversion:

@@ -11,7 +11,7 @@ import pytest
 
 from lumps import catalog as cat
 from lumps.hirota import STANDARD, BilinearForm
-from lumps.polyring import poly_zz
+from lumps.polyring import ExactPoly, poly_zz
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -47,6 +47,18 @@ def test_reconstruct_degree12():
         "-35277550/3   (shift -150448375/3)",
         "matches the shipped pelin12-corrected record: True",
     ]
+
+
+def test_reconstruct_degree12_compares_the_whole_record(monkeypatch):
+    """A shipped record right at the fixed slot but off by 1 in its constant
+    term does not match the reconstruction."""
+    shipped = cat.catalog()["pelin12-corrected"]
+    wrong = cat.TauRecord.plain(shipped.id, shipped.tau() + ExactPoly.constant(1),
+                                shipped.scale_c, shipped.form, shipped.notes)
+    monkeypatch.setitem(cat.catalog(), shipped.id, wrong)
+    code, lines = run_script("reconstruct_degree12")
+    assert code == 1
+    assert lines[-1] == "matches the shipped pelin12-corrected record: False"
 
 
 def printed_degree12():
