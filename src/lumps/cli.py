@@ -20,7 +20,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from pathlib import Path
@@ -29,7 +29,7 @@ from typing import Any, Dict, Optional
 from . import catalog as cat
 from . import classify, cm, lax
 from .hirota import PRESETS, STANDARD, custom_form
-from .polyring import Basis, ExactPoly, grlex
+from .polyring import Basis, ExactPoly, QQi, grlex, parse_rational
 
 
 class UsageError(Exception):
@@ -37,9 +37,12 @@ class UsageError(Exception):
 
 
 def jsonable(value: Any) -> Any:
-    """Lossless-ish JSON projection: Fractions as 'p/q', complex as [re, im]."""
+    """Lossless-ish JSON projection: Fractions as 'p/q', QQi as its interchange
+    form, complex as [re, im]."""
     if isinstance(value, Fraction):
         return str(value)
+    if isinstance(value, QQi):
+        return value.to_json()
     if isinstance(value, (bool, int, float, str)) or value is None:
         return value
     if isinstance(value, complex):
@@ -60,9 +63,18 @@ class RunReport:
     exact: bool
 
     def emit(self, stream=None) -> None:
+        """Write one strict-JSON document, exact values in full: CPython's
+        int-string digit limit, which parsing keeps, is lifted meanwhile."""
         stream = stream if stream is not None else sys.stdout
-        json.dump(jsonable(asdict(self)), stream, indent=1, allow_nan=False)
-        stream.write("\n")
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit:
+            sys.set_int_max_str_digits(0)
+        try:
+            text = json.dumps(jsonable(vars(self)), indent=1, allow_nan=False)
+        finally:
+            if limit:
+                sys.set_int_max_str_digits(limit)
+        stream.write(text + "\n")
 
 
 def _resolve_form(name: Optional[str], custom: Optional[str]):
@@ -70,7 +82,7 @@ def _resolve_form(name: Optional[str], custom: Optional[str]):
         try:
             triples = json.loads(custom)
             return custom_form(triples)
-        except (ValueError, TypeError, ArithmeticError) as exc:  # 1/0, 1e400
+        except (ValueError, TypeError) as exc:
             raise UsageError(f"malformed --custom-form: {exc}") from exc
     if name is None:
         return None
@@ -92,9 +104,9 @@ def _parse_params(pairs) -> Dict[str, Fraction]:
         if key in out:
             raise UsageError(f"--param {key} is given more than once")
         try:
-            out[key] = Fraction(value.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise UsageError(f"--param {name}: bad rational {value!r}") from exc
+            out[key] = parse_rational(value)
+        except ValueError as exc:
+            raise UsageError(f"--param {key}: bad rational: {exc}") from exc
     return out
 
 
@@ -143,8 +155,7 @@ def cmd_verify(args):
         "id": rec.id,
         "is_solution": residual.is_zero(),
         "residual_term_count": residual.num_terms(),
-        "residual_terms": [[i, j, residual.coeff(i, j).to_json()]
-                           for (i, j) in leading],
+        "residual_terms": [[i, j, residual.coeff(i, j)] for (i, j) in leading],
         "notes": rec.notes,
     }
     inputs = {"tau": args.tau, "form": form.name, "params": bindings}
@@ -212,10 +223,10 @@ def cmd_cm_check(args):
     except KeyError as exc:
         raise UsageError(exc.args[0]) from None
     try:
-        ys = [Fraction(v.strip()) for v in args.y.split(",") if v.strip()]
-    except (ValueError, ZeroDivisionError):
+        ys = [parse_rational(v) for v in args.y.split(",") if v.strip()]
+    except ValueError as exc:
         raise UsageError(
-            f"--y expects a comma list of rationals, got {args.y!r}") from None
+            f"--y expects a comma list of rationals, got {args.y!r}: {exc}") from None
     if not ys:
         raise UsageError("--y expects at least one height")
     rows = []

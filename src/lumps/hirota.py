@@ -46,7 +46,7 @@ from functools import lru_cache
 from math import comb
 from typing import Sequence, Tuple
 
-from .polyring import ONE, Basis, ExactPoly, QQi, _reduced, _scaled
+from .polyring import ONE, Basis, ExactPoly, QQi, _reduced, _scaled, parse_rational
 
 
 def _bilinear(terms, f: ExactPoly, g: ExactPoly, symmetric: bool) -> ExactPoly:
@@ -252,9 +252,9 @@ PRESETS = {f.name: f for f in (STANDARD, EVEN_SECTION, YANG, YANG_ELLIPTIC, BNEW
 
 def custom_form(spec: Sequence) -> BilinearForm:
     """Build a form from a non-empty list of (weight, a, b) triples; weights
-    parsed as Fractions.  An empty form would be solved by every tau."""
+    read by ``parse_rational``.  An empty form would be solved by every tau."""
     if not (isinstance(spec, (list, tuple)) and spec and all(
             isinstance(t, (list, tuple)) and len(t) == 3 for t in spec)):
         raise ValueError("a custom form is a non-empty list of [weight, a, b] triples")
-    terms = tuple((Fraction(str(w)), a, b) for w, a, b in spec)
+    terms = tuple((parse_rational(w), a, b) for w, a, b in spec)
     return BilinearForm("custom", terms)

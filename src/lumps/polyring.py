@@ -28,6 +28,7 @@ result is reduced once by ``_reduced``.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -36,6 +37,26 @@ from math import gcd, lcm
 from typing import Mapping, Union
 
 Rat = Union[int, Fraction]
+
+#: The largest decimal exponent ``parse_rational`` accepts: CPython's default
+#: int-string limit, which Fraction already applies to the digits before it.
+MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\Z", re.IGNORECASE)
+
+
+def parse_rational(value) -> Fraction:
+    """The rational that ``str(value)`` writes, stripped: an integer, ``p/q``
+    or a decimal.  ValueError on anything else, on a zero denominator, and on
+    a decimal exponent above MAX_EXPONENT in magnitude, refused before
+    Fraction would build 10**exponent (``1e10000000`` takes seconds)."""
+    text = str(value).strip()
+    exponent = _EXPONENT.search(text)
+    if exponent and abs(int(exponent[1].replace("_", ""))) > MAX_EXPONENT:
+        raise ValueError(f"decimal exponent above {MAX_EXPONENT} in magnitude: {text!r}")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 class BasisMismatchError(ValueError):
@@ -88,14 +109,11 @@ class QQi:
 
     @staticmethod
     def from_json(obj: "str | int | dict") -> "QQi":
-        try:
-            if isinstance(obj, dict):
-                if not obj.keys() <= {"re", "im"}:
-                    raise ValueError(f"coefficient keys must be re, im; got {sorted(obj)}")
-                return QQi(Fraction(str(obj["re"])), Fraction(str(obj.get("im", 0))))
-            return QQi(Fraction(str(obj)))
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in coefficient {obj!r}") from None
+        if isinstance(obj, dict):
+            if not obj.keys() <= {"re", "im"}:
+                raise ValueError(f"coefficient keys must be re, im; got {sorted(obj)}")
+            return QQi(parse_rational(obj["re"]), parse_rational(obj.get("im", 0)))
+        return QQi(parse_rational(obj))
 
 
 ONE = QQi(Fraction(1))

@@ -718,6 +718,83 @@ class TestReport:
         assert proc.stderr == ""
 
 
+def rational_site(site, value, tmp_path):
+    """argv that hands value to one of the four places where outside text
+    becomes a rational, and the wording of that place's usage error."""
+    if site == "file":
+        path = tmp_path / "tau.json"
+        path.write_text(json.dumps(
+            {"basis": "xy", "terms": [[2, 0, value], [0, 2, "1"], [0, 0, "3"]]}))
+        return ["verify", "--tau", str(path)], "malformed polynomial file"
+    return {
+        "param": (["verify", "--tau", "yang6", "--param", f"a={value}",
+                   "--param", "b=0"], "--param a: bad rational"),
+        "y": (["cm-check", "--tau", "lump2", "--y", f"1,{value}"],
+              "--y expects a comma list of rationals"),
+        "weight": (["verify", "--tau", "pelin6", "--custom-form",
+                    json.dumps([[value, 4, 0]])], "malformed --custom-form"),
+    }[site]
+
+
+def strict_json(text):
+    def refuse(token):
+        raise ValueError(f"non-strict JSON constant {token}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+class TestOutsideRationals:
+    @pytest.mark.parametrize("value", ["1e100000", "1e4301", "1e-10000000",
+                                       "1e10000000"])
+    @pytest.mark.parametrize("site", ["param", "y", "weight", "file"])
+    def test_exponent_past_4300_exits_two(self, capsys, tmp_path, site, value):
+        # Fraction would build 10**e first: seconds at 1e10000000, and a value
+        # whose digits no report could print
+        argv, wording = rational_site(site, value, tmp_path)
+        start = time.perf_counter()
+        code, report, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 5
+        assert code == 2
+        assert report is None
+        assert wording in err and "decimal exponent above 4300" in err
+
+    @pytest.mark.parametrize("site", ["param", "y", "weight", "file"])
+    def test_exponent_4300_is_accepted_and_printed(self, capsys, tmp_path, site):
+        argv, _ = rational_site(site, "1e4300", tmp_path)
+        code = main(argv)
+        report = strict_json(capsys.readouterr().out)
+        assert code in (0, 1)
+        ten = "1" + "0" * 4300
+        if site == "param":
+            assert report["inputs"]["params"]["a"] == ten
+        if site == "y":
+            assert report["inputs"]["y"] == ["1", ten]
+
+    def test_report_prints_values_past_the_digit_limit(self, capsys, tmp_path):
+        # an accepted 8,600-digit coefficient: its residual once escaped as a
+        # ValueError traceback from int-to-str conversion
+        argv, _ = rational_site("file", "7" * 4300 + "e4300", tmp_path)
+        digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+        limit = digit_limit()
+        code = main(argv)
+        out = capsys.readouterr()
+        assert code == 1
+        assert digit_limit() == limit
+        report = strict_json(out.out)
+        _, _, leading = report["results"]["residual_terms"][0]
+        assert len(leading.lstrip("-")) > 4300
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="no int-string limit before Python 3.10.7")
+    def test_parsing_keeps_the_digit_limit(self, capsys, tmp_path):
+        path = tmp_path / "tau.json"
+        path.write_text('{"basis": "xy", "terms": [[2, 0, %s]]}' % ("1" * 4301))
+        code, report, err = run(capsys, "verify", "--tau", str(path))
+        assert code == 2
+        assert report is None
+        assert "malformed polynomial file" in err
+
+
 def readme_lumps_lines(heading):
     """The argv of every `lumps` line in README's first code block under
     heading."""

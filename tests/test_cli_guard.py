@@ -4,8 +4,9 @@ For every subcommand, ``lumps`` must exit 0, 1 or 2; nothing but argparse's
 SystemExit(2) may escape ``cli.main``; and stdout is exactly one strict-JSON
 report (no NaN or Infinity), or empty with exit 2.  Sizes stay cheap:
 ``--max-n`` <= 20, ``--n`` <= 30, energy windows of at most 20 cells per
-side (or far beyond the cap, which is refused) and a custom-form order of
-10^6, which is zero on every pair of a catalog tau.
+side (or far beyond the cap, which is refused), a custom-form order of
+10^6, which is zero on every pair of a catalog tau, and decimal exponents
+far past 4300, which are refused before any integer is built.
 """
 
 import io
@@ -21,7 +22,8 @@ from lumps.polyring import poly_xy, poly_zz
 
 #: valid rationals, junk, non-finite and out-of-float-range values
 RATIONALS = ["0", "1", "-2", "1/2", "-3/4", "7/3", "0.25", "1e3", "1e400",
-             "1/0", "abc", "", "nan", "inf", "-inf", " 2 "]
+             "1e5000", "1e10000000", "1/0", "abc", "", "nan", "inf", "-inf",
+             " 2 "]
 INTS = ["x", "", "2.5", "1e3"]
 IDS = ["lump2", "pelin6", "yang6", "pelin12", "pelin12-corrected",
        "lump2-bnew", "pelin6-bnew", "pelin12-corrected-bnew", "nope", "",
@@ -37,6 +39,7 @@ FILES = {
     "terms.json": '{"basis": "xy", "terms": 5}',
     "negative.json": '{"basis": "xy", "terms": [[-1, 0, "1"]]}',
     "huge.json": '{"basis": "xy", "terms": [[1e400, 0, "1"]]}',
+    "exponent.json": '{"basis": "xy", "terms": [[2, 0, "1e10000000"], [0, 2, "1"]]}',
     "nan.json": '{"basis": "xy", "terms": [[0, 0, NaN]]}',
     "fraction.json": '{"basis": "xy", "terms": [[2.5, 0, "1"], [0, 2, "1"], [0, 0, "3"]]}',
     "repeated.json": '{"basis": "xy", "terms": [[2, 0, "1"], [2, 0, "5"], [0, 2, "1"]]}',
@@ -80,7 +83,8 @@ def grammar(command, paths):
                    "{}", '["140"]', '[["x",4,0]]', "[[1,1,0]]", "[[1,-2,0]]",
                    "[[0,2,0]]", "[[1,2]]", "not json", '[["1/0",2,0]]',
                    "[[1,1e400,0]]", "[[NaN,2,0]]", '[["1",1000000,0]]',
-                   '[["1",4.5,0]]', '[["1","4",0]]', "[[1,true,true]]"]
+                   '[["1",4.5,0]]', '[["1","4",0]]', "[[1,true,true]]",
+                   '[["1e10000000",4,0]]']
         params = st.lists(st.sampled_from(
             [f"a={r}" for r in RATIONALS] + [f"b={r}" for r in RATIONALS]
             + ["c=1", "a", "=1"]), max_size=3)

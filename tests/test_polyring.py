@@ -12,7 +12,7 @@ from conftest import (
 from lumps.hirota import STANDARD, hirota_d
 from lumps.polyring import (
     ONE, Basis, BasisMismatchError, ExactDivisionError, ExactPoly, QQi,
-    poly_xy, poly_zz, r_squared)
+    parse_rational, poly_xy, poly_zz, r_squared)
 from oracles import (
     _div, diff_oracle, division_oracle, product_oracle, scale_oracle,
     substitute_oracle, sum_oracle)
@@ -27,6 +27,28 @@ class TestQQi:
     def test_json_roundtrip(self):
         for v in (QQi(Fraction(-3, 17)), QQi(Fraction(5)), QQi(Fraction(1, 2), Fraction(-2, 7))):
             assert QQi.from_json(v.to_json()) == v
+
+
+class TestParseRational:
+    @pytest.mark.parametrize("value, expected", [
+        (" 2 ", Fraction(2)), ("0.25", Fraction(1, 4)), ("-3/4", Fraction(-3, 4)),
+        (3, Fraction(3)), ("1e4300", Fraction(10 ** 4300)),
+    ])
+    def test_accepts(self, value, expected):
+        assert parse_rational(value) == expected
+
+    @pytest.mark.parametrize("value", [
+        # an exponent past 4300 is refused before Fraction builds 10**e,
+        # which takes seconds at 1e10000000
+        "1e4301", "1e-4301", "1e10000000", "1e-10000000", "nan", "inf", True,
+    ])
+    def test_refuses(self, value):
+        with pytest.raises(ValueError):
+            parse_rational(value)
+
+    def test_zero_denominator(self):
+        with pytest.raises(ValueError, match="zero denominator"):
+            parse_rational("1/0")
 
 
 class TestArithmetic:
