@@ -191,10 +191,11 @@ def energy(rec: TauRecord, half_width: float = 200.0, step: float = 0.05
     number of workers.  On Python 3.12 and later ``os.fork`` emits a
     DeprecationWarning when the process already runs other threads.
 
-    Raises ValueError for a window with no grid cell or more than
-    MAX_ENERGY_CELLS cells per side, or a record outside the (3/2)
-    normalization or not even, and ArithmeticError when the sum is not
-    finite (tau vanishes, or overflows, at a grid node).
+    Raises ValueError for a window with no grid cell, more than
+    MAX_ENERGY_CELLS cells per side or an R/h that is not a whole number
+    (to relative 1e-9), or a record outside the (3/2) normalization or not
+    even, and ArithmeticError when the sum is not finite (tau vanishes, or
+    overflows, at a grid node).
     """
     for name, value in (("half_width", half_width), ("step", step)):
         if not (math.isfinite(value) and value > 0):
@@ -203,10 +204,14 @@ def energy(rec: TauRecord, half_width: float = 200.0, step: float = 0.05
     if not (math.isfinite(cells) and round(cells) >= 1):
         raise ValueError(
             f"half_width/step = {cells} leaves no grid cell in [0, R]")
-    if round(cells) > MAX_ENERGY_CELLS:
+    m = round(cells)
+    if m > MAX_ENERGY_CELLS:
         raise ValueError(
             f"half_width/step = {cells} exceeds {MAX_ENERGY_CELLS} grid cells "
             "per side")
+    if abs(cells - m) > 1e-9 * m:  # else [-R, R]^2 is not the window integrated
+        raise ValueError(
+            f"half_width/step = {cells} is not a whole number of grid cells")
     rec.require_bnew("energy")
     tau = rec.tau()
     if any(i % 2 or j % 2 for (i, j) in tau.numerators()[1]):
@@ -227,7 +232,6 @@ def energy(rec: TauRecord, half_width: float = 200.0, step: float = 0.05
                 table[j // 2, k, i // 2] = r / den
         tables.append(table.reshape(ny, -1))
 
-    m = int(round(cells))
     xs = (np.arange(m) + 0.5) * step
     row_sums = np.frombuffer(mmap.mmap(-1, 8 * m))  # shared with the workers
     _in_bands(lambda lo, hi: _energy_rows(tables, xs, lo, hi, row_sums),

@@ -272,8 +272,11 @@ def beta_seq(n: int, q: int, sigma: Optional[Sequence[Fraction]] = None,
 def gamma_table(n: int) -> Dict[int, Fraction]:
     """gamma_q = beta_{jbar} (jbar = floor((n-2q)/3) + 1) for q = 1 .. floor(n/2).
 
-    Every chain shares one sigma chain and one C4 table.
+    Every chain shares one sigma chain and one C4 table.  Raises ValueError
+    for n < 1, which has no table to certify.
     """
+    if n < 1:
+        raise ValueError(f"gamma_table needs n >= 1, got {n}")
     sigma, c4_rows = sigma_seq(n), _c4_rows(n)
     return {q: beta_seq(n, q, sigma, c4_rows)[-1] for q in range(1, n // 2 + 1)}
 

@@ -9,8 +9,9 @@ failed certificate, out-of-tolerance residuals), 2 on a usage error (unknown
 ids, malformed files, unbound parameters; nothing on stdout).
 
 Exact rationals are serialized as strings "p/q"; they are never emitted as
-floats.  The report's "exact" flag is true precisely when no floating point
-touched the results.
+floats.  The report's "exact" flag is true when the verdict is decided
+exactly; float fields beside an exact verdict (lax-probe's Cauchy gaps) are
+confirmation and do not decide it.
 """
 
 from __future__ import annotations
@@ -275,13 +276,8 @@ def cmd_lax_probe(args):
     if args.point not in lax.DISTINGUISHED:
         raise UsageError(
             f"unknown point {args.point!r}; choose from {sorted(lax.DISTINGUISHED)}")
-    if not math.isfinite(args.x):
-        raise UsageError(f"--x must be finite, got {args.x}")
-    try:
-        probe = lax.removable_probe(args.point, args.x)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    return {"point": args.point, "x": args.x}, probe, probe["cauchy_decreasing"]
+    probe = lax.removable_probe(args.point)
+    return {"point": args.point}, probe, probe["exact_removable"]
 
 
 def cmd_energy(args):
@@ -367,10 +363,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lax-table", help="the twelve phase entries, exact")
     p.set_defaults(func=cmd_lax_table, exact=True)
 
-    p = sub.add_parser("lax-probe", help="removable-singularity limit probe")
+    p = sub.add_parser("lax-probe", help="exact removability of a Phi pole")
     p.add_argument("--point", required=True, help="k1+, k1-, k2+ or k2-")
-    p.add_argument("--x", type=float, default=1.0)
-    p.set_defaults(func=cmd_lax_probe, exact=False)
+    p.set_defaults(func=cmd_lax_probe, exact=True)
 
     p = sub.add_parser("energy", help="quadrature energy of a (3/2)-record")
     p.add_argument("--tau", required=True)

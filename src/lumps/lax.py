@@ -21,16 +21,20 @@ agree with the computed table, and the remaining two (Lambda_2 and
 Lambda_3 at k = -(sqrt6/3) i) have their y-parts transposed in print,
 which no eigenvalue branch can produce because the x- and y-coefficients
 are tied through sigma = i (3 lambda^2 - 4).  See compare_phase_tables().
+
+Phi_12 and Phi_22 are PHI_NUMERATORS over PHI_DENOMINATOR = 2(3k^2 + 2).
+At the k1 points, where the denominator vanishes, residue_identity shows
+exactly that both numerators vanish for every real x: the poles are
+removable.  removable_probe adds a float probe at x = 1 as confirmation.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 
 def eigenvalues(k: complex) -> Tuple[complex, complex, complex]:
@@ -148,15 +152,22 @@ def phase_consistency(entry: PhaseEntry) -> bool:
 # Phi entries and the removable-singularity probe
 
 
-def _phi_coefficients(k: complex) -> Tuple[Tuple[complex, ...], ...]:
-    """Coefficients of (e^{-kxi/2} C, x e^{-kxi/2} S, e^{kix}) in Phi_12, Phi_22.
+#: numerators of (Phi_12, Phi_22) over PHI_DENOMINATOR: for each entry, the
+#: coefficients of (e^{-kxi/2} C, x e^{-kxi/2} S, e^{kix}) as integer
+#: polynomials in kappa = k i, lowest power first
+PHI_NUMERATORS = (((0, 2), (4, 0, -3), (0, -2)),
+                  ((4, 0, -4), (0, 2), (0, 0, -2)))
 
-    Shared by phi_entries and probe_log_bound, so the bound follows any
-    change to the closed forms.
-    """
-    f1 = 3 * k * k + 2
-    return ((k * 1j / f1, (3 * k * k + 4) / (2 * f1), -(k * 1j / f1)),
-            ((2 * k * k + 2) / f1, k * 1j / f1, k * k / f1))
+#: 2 (3k^2 + 2) as a polynomial in kappa = k i; zero only at the k1 points
+PHI_DENOMINATOR = (4, 0, -6)
+
+
+def _phi_coefficients(k: complex) -> Tuple[Tuple[complex, ...], ...]:
+    """PHI_NUMERATORS over PHI_DENOMINATOR at k, in floats."""
+    kappa = 1j * k
+    den = sum(c * kappa ** n for n, c in enumerate(PHI_DENOMINATOR))
+    return tuple(tuple(sum(c * kappa ** n for n, c in enumerate(p)) / den
+                       for p in entry) for entry in PHI_NUMERATORS)
 
 
 def phi_entries(k: complex, x: float) -> Tuple[complex, complex]:
@@ -164,108 +175,93 @@ def phi_entries(k: complex, x: float) -> Tuple[complex, complex]:
 
     P is the Vandermonde matrix of the eigenvalues (rows 1, lambda_j,
     lambda_j^2) and M = diag(lambda_j); a normalization n(k) P cancels.
-
-    With zeta = (x^2/4)(3k^2+8):
-
-      Phi_12 = (ki/(3k^2+2)) e^{-kxi/2} C + ((3k^2+4)/(6k^2+4)) x e^{-kxi/2} S
-               - (ki/(3k^2+2)) e^{kix}
-      Phi_22 = ((2k^2+2)/(3k^2+2)) e^{-kxi/2} C + (ki/(3k^2+2)) x e^{-kxi/2} S
-               + (k^2/(3k^2+2)) e^{kix}
-
-    where C = cosh(w) and S = sinh(w)/w with w = sqrt(zeta), and S = 1 at
+    Each entry is PHI_NUMERATORS over PHI_DENOMINATOR on the factors
+    (e^{-kxi/2} C, x e^{-kxi/2} S, e^{kix}), where C = cosh(w) and
+    S = sinh(w)/w with w = sqrt(zeta), zeta = (x^2/4)(3k^2+8), and S = 1 at
     w = 0.  Both are even in w, so entire in zeta and free of the branch of
-    the root; the only candidate singularities are 3k^2+2 = 0 and they are
-    removable (probed numerically by removable_probe).
+    the root; the only candidate singularities are 3k^2+2 = 0, and
+    residue_identity shows that they are removable.
     """
-    (a12, b12, c12), (a22, b22, c22) = _phi_coefficients(k)
     w = cmath.sqrt((x * x / 4.0) * (3 * k * k + 8))
     C = cmath.cosh(w)
     S = cmath.sinh(w) / w if w else 1.0
     half = cmath.exp(-k * x * 1j / 2)
     full = cmath.exp(k * x * 1j)
-    phi12 = a12 * half * C + b12 * x * half * S + c12 * full
-    phi22 = a22 * half * C + b22 * x * half * S + c22 * full
+    phi12, phi22 = (a * half * C + b * x * half * S + c * full
+                    for a, b, c in _phi_coefficients(k))
     return phi12, phi22
+
+
+def _at_point(coeffs: Sequence[int], c: Fraction) -> Tuple[Fraction, Fraction]:
+    """sum coeffs[n] kappa^n at kappa = -c sqrt6, as (a, b) for a + b sqrt6."""
+    terms = [coeff * (-c) ** n * 6 ** (n // 2) for n, coeff in enumerate(coeffs)]
+    return sum(terms[::2], Fraction(0)), sum(terms[1::2], Fraction(0))
+
+
+def residue_identity(point: str) -> Optional[List[dict]]:
+    """The numerators of Phi_12 and Phi_22 at a distinguished point, exactly.
+
+    At k* = c sqrt6 i, kappa = -c sqrt6.  Where PHI_DENOMINATOR vanishes (the
+    k1 points) 3k^2 + 8 = 6, so for real x of either sign each factor is a
+    sum of E(t) = e^{t sqrt6 x} over Q(sqrt6): C = (E(1/2) + E(-1/2))/2,
+    x S = (E(1/2) - E(-1/2))/sqrt6, e^{-kxi/2} = E(c/2), e^{kix} = E(-c).
+    Returns, per entry, the map t -> (a, b) of the coefficient a + b sqrt6 of
+    E(t), zero sums dropped: a numerator vanishes for every x exactly when
+    its map is empty.  Returns None where the denominator does not vanish
+    (the k2 points): there is no pole.
+    """
+    c = DISTINGUISHED[point]
+    if _at_point(PHI_DENOMINATOR, c) != (0, 0):
+        return None
+    maps = []
+    for entry in PHI_NUMERATORS:
+        (ca, cb), (sa, sb), (fa, fb) = (_at_point(p, c) for p in entry)
+        # (sa + sb sqrt6) / sqrt6 = sb + (sa / 6) sqrt6
+        terms = (((c + 1) / 2, ca / 2 + sb, cb / 2 + sa / 6),
+                 ((c - 1) / 2, ca / 2 - sb, cb / 2 - sa / 6),
+                 (-c, fa, fb))
+        sums = {}
+        for t, a, b in terms:
+            a0, b0 = sums.get(t, (0, 0))
+            sums[t] = (a0 + a, b0 + b)
+        maps.append({t: v for t, v in sums.items() if v != (0, 0)})
+    return maps
 
 
 #: radial offsets of removable_probe, k = k* (1 + eps)
 PROBE_EPSILONS = (1e-2, 1e-3, 1e-4)
 
-#: c of the probe's rounding floor c * eps_float * e^bound: every entry and
-#: gap is below e^bound (probe_log_bound), so a gap at or below the floor is
-#: rounding noise, as at small |x| where Phi is nearly the identity
-ROUNDING_FLOOR_FACTOR = 4
+#: the x of removable_probe's float confirmation; the exact verdict holds
+#: for every real x
+PROBE_X = 1.0
 
 
-def gaps_decreasing(gaps: Sequence[float], floor: float) -> bool:
-    """True when every later gap is below the one before it or is at most
-    ``floor`` (rounding noise, which need not decrease)."""
-    return all(b < a or b <= floor for a, b in zip(gaps, gaps[1:]))
+def removable_probe(point: str) -> dict:
+    """Exact removability at a distinguished point, with a float confirmation.
 
-
-def probe_log_bound(point: str, x: float) -> float:
-    """Natural log of a bound on every factor and entry removable_probe forms.
-
-    At each k = k* (1 + eps), eps in PROBE_EPSILONS, with
-    w = (|x|/2) sqrt(3k^2+8), |C| and |S| of phi_entries are at most
-    cosh(Re w) <= e^{|Re w|}; e^{-kxi/2} and e^{kix} have real exponents
-    x Im(k)/2 and -x Im(k).  Each entry is at most g times the largest of
-    these factors, where g sums the magnitudes of the six coefficients of
-    _phi_coefficients (those of x S times |x|), so every factor, entry and
-    gap between entries stays below e^bound, with
-    bound = max(|Re w| + max(x Im(k)/2, 0), -x Im(k)) + max(log g, 0) + log 2.
-    No x^2 is formed, so any finite x gets a bound (possibly inf), never
-    an OverflowError.
+    ``exact_removable`` is the verdict: both maps of residue_identity are
+    empty, or there is no pole; ``numerators`` is that evidence.  The
+    confirmation approaches the point radially at x = PROBE_X, along
+    k = k* (1 + eps) for eps in PROBE_EPSILONS.  At a removable point the
+    values converge with gaps shrinking like eps, and ``cauchy_decreasing``
+    holds when both gap sequences decrease strictly.
     """
-    ax = abs(x)
-    bounds = []
-    for eps in PROBE_EPSILONS:
-        k = point_value(point) * (1 + eps)
-        re_w = ax / 2 * abs(cmath.sqrt(3 * k * k + 8).real)
-        exponent = max(re_w + max(x * k.imag / 2, 0.0), -x * k.imag)
-        g = sum(abs(a) + abs(b) * ax + abs(c)
-                for a, b, c in _phi_coefficients(k))
-        bounds.append(exponent + max(math.log(g), 0.0) + math.log(2.0))
-    return max(bounds)
-
-
-def removable_probe(point: str, x: float) -> dict:
-    """Approach a distinguished point radially; report values and Cauchy gaps.
-
-    The sequence k = k* (1 + eps), eps in PROBE_EPSILONS (the offsets that
-    probe_log_bound bounds), converges, with successive differences
-    shrinking proportionally to eps, exactly when the singularity is
-    removable.  The verdict ``cauchy_decreasing`` holds when both gap
-    sequences pass gaps_decreasing at ``rounding_floor``.  Raises
-    ValueError, before any entry is formed, when the probe's terms would
-    overflow a float.
-    """
-    log_bound = probe_log_bound(point, x)
-    if log_bound >= math.log(sys.float_info.max):
-        raise ValueError(
-            f"--x {x} overflows the probe at {point}: its terms "
-            f"reach e^{log_bound:.6g}, past the float maximum "
-            f"e^{math.log(sys.float_info.max):.6g}")
+    numerators = residue_identity(point)
     kstar = point_value(point)
-    values12 = []
-    values22 = []
-    for eps in PROBE_EPSILONS:
-        k = kstar * (1 + eps)
-        p12, p22 = phi_entries(k, x)
-        values12.append(p12)
-        values22.append(p22)
+    values12, values22 = zip(*(phi_entries(kstar * (1 + eps), PROBE_X)
+                               for eps in PROBE_EPSILONS))
     gaps12 = [abs(b - a) for a, b in zip(values12, values12[1:])]
     gaps22 = [abs(b - a) for a, b in zip(values22, values22[1:])]
-    floor = ROUNDING_FLOOR_FACTOR * sys.float_info.epsilon * math.exp(log_bound)
     return {
         "point": point,
-        "x": x,
+        "exact_removable": numerators is None or not any(numerators),
+        "numerators": numerators,
+        "x": PROBE_X,
         "epsilons": list(PROBE_EPSILONS),
-        "phi12": values12,
-        "phi22": values22,
+        "phi12": list(values12),
+        "phi22": list(values22),
         "phi12_gaps": gaps12,
         "phi22_gaps": gaps22,
-        "rounding_floor": floor,
-        "cauchy_decreasing": (gaps_decreasing(gaps12, floor)
-                              and gaps_decreasing(gaps22, floor)),
+        "cauchy_decreasing": all(b < a for gaps in (gaps12, gaps22)
+                                 for a, b in zip(gaps, gaps[1:])),
     }

@@ -88,9 +88,11 @@ class QQi:
 
     @staticmethod
     def of(value: "QQi | Rat") -> "QQi":
-        """Coerce an int, Fraction or QQi to QQi."""
+        """Coerce an int, Fraction or QQi to QQi; TypeError for any other type."""
         if isinstance(value, QQi):
             return value
+        if not isinstance(value, (int, Fraction)):
+            raise TypeError(f"exact coefficient expected, got {value!r}")
         return QQi(Fraction(value))
 
     def is_zero(self) -> bool:

@@ -191,6 +191,13 @@ class TestEnergy:
         assert cat.energy(CAT[rid], half_width=1e8, step=1e7) == pytest.approx(
             value, rel=1e-12, abs=0)
 
+    @pytest.mark.parametrize("half_width", [0.95, 1.0])
+    def test_window_off_the_grid_raises(self, half_width):
+        # R / 0.6 is not whole: the grid would integrate [-1.2, 1.2]^2 for
+        # either R and report a window it did not integrate
+        with pytest.raises(ValueError, match="not a whole number"):
+            cat.energy(CAT["lump2-bnew"], half_width=half_width, step=0.6)
+
     @pytest.mark.parametrize("window", [(1e10, 1e9), (1e30, 1e29)])
     def test_window_past_float_range_raises(self, window):
         # N3 of a degree-12 tau has degree 33: it overflows from |x| ~ 2e9,

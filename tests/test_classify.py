@@ -242,6 +242,12 @@ class TestGammaRoute:
         assert cl.uniqueness_certificate(3).all_nonzero
         assert cl.uniqueness_certificate(6).all_nonzero
 
+    @pytest.mark.parametrize("n", [0, -4])
+    def test_no_certificate_below_one(self, n):
+        # an empty gamma table would certify vacuously
+        with pytest.raises(ValueError, match="n >= 1"):
+            cl.uniqueness_certificate(n)
+
 
 class TestChainOracle:
     # the integer chains against the step-by-step Fraction recursions of the

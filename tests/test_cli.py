@@ -473,58 +473,53 @@ class TestLax:
         assert res["mismatched_entries"] == [["k1-", 2], ["k1-", 3]]
 
     def test_probe(self, capsys):
-        code, report, _ = run(capsys, "lax-probe", "--point", "k1+",
-                              "--x", "1.0")
+        code, report, _ = run(capsys, "lax-probe", "--point", "k1+")
         assert code == 0
         assert report["results"]["cauchy_decreasing"] is True
 
-    @pytest.mark.parametrize("x", ["nan", "inf", "-inf"])
-    def test_probe_nonfinite_x_is_usage_error(self, capsys, x):
-        code, report, err = run(capsys, "lax-probe", "--point", "k1+",
-                                f"--x={x}")
-        assert code == 2
-        assert report is None
-        assert "--x must be finite" in err
+    @pytest.mark.parametrize("x", [["--x", "1.0"], ["--x=1e5"], ["--x=nan"]],
+                             ids=["1.0", "1e5", "nan"])
+    def test_probe_has_no_x_option(self, capsys, x):
+        # the exact verdict holds for every real x, so there is none to choose
+        with pytest.raises(SystemExit) as exc:
+            main(["lax-probe", "--point", "k1+", *x])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
     def test_probe_bad_point(self, capsys):
         code, _, err = run(capsys, "lax-probe", "--point", "k9+")
         assert code == 2
 
-    @pytest.mark.parametrize("x", ["1e5", "-1e5", "1e300"])
-    def test_probe_overflowing_x_is_usage_error(self, capsys, x):
-        code, report, err = run(capsys, "lax-probe", "--point", "k1+",
-                                f"--x={x}")
-        assert code == 2
-        assert report is None
-        assert "overflows the probe" in err
-
     @pytest.mark.parametrize("point", ["k1+", "k1-", "k2+", "k2-"])
     def test_probe_default_x(self, capsys, point):
         code, report, _ = run(capsys, "lax-probe", "--point", point)
         assert code == 0
-        assert report["inputs"]["x"] == 1.0
-        # the gaps decrease strictly, far above the rounding floor, so the
-        # floor plays no part in the verdict at the default x
+        assert report["results"]["x"] == 1.0
         res = report["results"]
         for key in ("phi12_gaps", "phi22_gaps"):
             gaps = res[key]
             assert all(b < a for a, b in zip(gaps, gaps[1:]))
-            assert min(gaps) > 100 * res["rounding_floor"]
 
     @pytest.mark.parametrize("point", ["k1+", "k1-", "k2+", "k2-"])
-    @pytest.mark.parametrize("x", ["0", "1e-6", "1e-3", "-1e-3"])
-    def test_probe_small_x_gaps_are_rounding_noise(self, capsys, point, x):
-        # Phi is nearly the identity, so the gaps are mostly rounding noise
-        # that need not decrease; the noise stays at or below the floor
-        code, report, _ = run(capsys, "lax-probe", "--point", point, f"--x={x}")
+    def test_probe_exact_verdict(self, capsys, point):
+        code, report, _ = run(capsys, "lax-probe", "--point", point)
         assert code == 0
+        assert report["exact"] is True
         res = report["results"]
+        assert res["exact_removable"] is True
+        assert res["numerators"] == ([{}, {}] if point.startswith("k1") else None)
+
+    def test_probe_exit_follows_the_exact_verdict(self, capsys, monkeypatch):
+        # a nonzero Phi_22 numerator fails the command, though the float
+        # gaps still decrease
+        monkeypatch.setattr(lax, "residue_identity", lambda point: [
+            {}, {Fraction(-1, 3): (Fraction(0), Fraction(-4, 3))}])
+        code, report, _ = run(capsys, "lax-probe", "--point", "k1+")
+        assert code == 1
+        res = report["results"]
+        assert res["exact_removable"] is False
+        assert res["numerators"] == [{}, {"-1/3": ["0", "-4/3"]}]
         assert res["cauchy_decreasing"] is True
-        floor = res["rounding_floor"]
-        assert floor == 4 * sys.float_info.epsilon * math.exp(
-            lax.probe_log_bound(point, float(x)))
-        if abs(float(x)) <= 1e-6:
-            assert all(g <= floor for g in res["phi12_gaps"] + res["phi22_gaps"])
 
 
 class TestEnergyAndDegree:
@@ -576,6 +571,7 @@ class TestEnergyAndDegree:
         (["--step", "inf"], "step must be finite and > 0"),
         (["--half-width", "1", "--step", "3"], "no grid cell"),
         (["--half-width", "1e9", "--step", "0.1"], "exceeds 1000000 grid cells"),
+        (["--half-width", "1", "--step", "0.6"], "not a whole number of grid cells"),
     ])
     def test_energy_bad_window_is_usage_error(self, capsys, window, message):
         code, report, err = run(capsys, "energy", "--tau", "lump2-bnew",
@@ -700,7 +696,7 @@ class TestReport:
         (["certify", "--n", "15"], True),
         (["cm-check", "--tau", "lump2"], False),
         (["lax-table"], True),
-        (["lax-probe", "--point", "k1+"], False),
+        (["lax-probe", "--point", "k1+"], True),
         (["energy", "--tau", "lump2-bnew", "--half-width", "60", "--step", "0.1"], False),
         (["degree", "--k", "3"], True),
     ], ids=lambda v: v[0] if isinstance(v, list) else None)

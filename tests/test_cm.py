@@ -3,6 +3,7 @@ import math
 import warnings
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from conftest import exact_polys, rationals
@@ -282,3 +283,50 @@ class TestRootUtilities:
         ref = [0j, 1j]
         out = pair_roots(ref, [1.001j, 0.001j])
         assert out == [0.001j, 1.001j]
+
+
+def locus_oracle(rec_id, y, rescale=False):
+    """Worst residual of the two locus identities at height y, at 50 digits.
+
+    Independent of cm: p = tau(., y) and q = tau_y(., y) come from the
+    record's terms in Fraction arithmetic (after y -> sqrt(3) y when
+    ``rescale``), the poles from mpmath.polyroots and beta = -q/p' there.
+    """
+    y = Fraction(y)
+    terms = CAT[rec_id].tau().terms
+    p = [Fraction(0)] * (max(i for i, _ in terms) + 1)
+    q = list(p)
+    for (i, j), c in terms.items():
+        a = c.re * 3 ** (j // 2) if rescale else c.re
+        p[i] += a * y ** j
+        if j:
+            q[i] += j * a * y ** (j - 1)
+    with mpmath.workdps(50):
+        def high_first(cs):
+            return [mpmath.mpf(c.numerator) / c.denominator for c in reversed(cs)]
+
+        eta = mpmath.polyroots(high_first(p), maxsteps=200, extraprec=200)
+        dp = high_first([i * c for i, c in enumerate(p)][1:])
+        beta = [-mpmath.polyval(high_first(q), e) / mpmath.polyval(dp, e)
+                for e in eta]
+        worst = mpmath.mpf(0)
+        for j, (ej, bj) in enumerate(zip(eta, beta)):
+            others = [(ek, bk) for k, (ek, bk) in enumerate(zip(eta, beta)) if k != j]
+            first = sum((bj + bk) / (ej - ek) ** 3 for ek, bk in others)
+            second = bj ** 2 + sum(36 / (ej - ek) ** 2 for ek, _ in others) + 3
+            worst = max(worst, abs(first), abs(second))
+        return float(worst)
+
+
+class TestLocusOracle:
+    """The y = 200 row that cm-check refuses (float residual 4.84e-9 against
+    its 1e-9 bound) is a true solution; the printed degree-12 tau is not."""
+
+    @pytest.mark.parametrize("y", [200, 1000])
+    def test_corrected_degree12_is_on_the_locus(self, y):
+        assert locus_oracle("pelin12-corrected-bnew", y) < 1e-30
+
+    def test_printed_degree12_is_off_the_locus(self):
+        # its miss, about 4e-12, is far below the float residual that
+        # refuses the true solution at this height
+        assert locus_oracle("pelin12", 200, rescale=True) > 1e-15

@@ -1,10 +1,10 @@
 import cmath
 import math
-import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 
 from lumps import lax
 
@@ -156,7 +156,7 @@ class TestPhiEntries:
 
     @pytest.mark.parametrize("point", ["k1+", "k1-", "k2+", "k2-"])
     def test_removable_singularities(self, point):
-        probe = lax.removable_probe(point, 1.0)
+        probe = lax.removable_probe(point)
         g12 = probe["phi12_gaps"]
         g22 = probe["phi22_gaps"]
         # Cauchy: successive differences shrink roughly like epsilon
@@ -167,37 +167,99 @@ class TestPhiEntries:
         assert probe["cauchy_decreasing"] is True
 
 
-class TestGapsDecreasing:
-    def test_rule(self):
-        floor = 1e-11
-        assert lax.gaps_decreasing([3.0, 2.0, 1.0], floor)
-        assert lax.gaps_decreasing([0.0, 0.0], floor)
-        # noise may grow while it stays at or below the floor
-        assert lax.gaps_decreasing([1e-14, 5e-12, 1e-11], floor)
-        # growth above the floor fails, from noise or from a real gap
-        assert not lax.gaps_decreasing([1e-14, 2e-11], floor)
-        assert not lax.gaps_decreasing([1.0, 2.0, 0.5], floor)
-        assert not lax.gaps_decreasing([1e-3, 1e-4, 2e-4], floor)
+def closed_forms(k, i=1j):
+    """(3k^2+2) Phi_12 and (3k^2+2) Phi_22 from the closed forms, with the
+    coefficients of (e^{-kxi/2} C, x e^{-kxi/2} S, e^{kix})."""
+    return ((i * k, (3 * k * k + 4) / 2, -i * k),
+            (2 * k * k + 2, i * k, k * k))
 
 
-class TestProbeBound:
+def sympy_numerators(k, x, rows):
+    """The numerators with coefficient rows ``rows`` as sympy expressions in x
+    at the point k."""
+    w = sympy.sqrt(x ** 2 / 4 * (3 * k ** 2 + 8))
+    factors = (sympy.exp(-k * x * sympy.I / 2) * sympy.cosh(w),
+               sympy.exp(-k * x * sympy.I / 2) * x * sympy.sinh(w) / w,
+               sympy.exp(k * x * sympy.I))
+    return [sum(c * f for c, f in zip(row, factors)) for row in rows]
+
+
+def vanishes(expr) -> bool:
+    return sympy.simplify(sympy.expand(expr.rewrite(sympy.exp))) == 0
+
+
+def sympy_point(point):
+    return sympy.Rational(lax.DISTINGUISHED[point]) * sympy.sqrt(6) * sympy.I
+
+
+#: wrong Phi_12 rows, as the library's table and as closed forms
+WRONG_ROWS = [
+    # (3k^2+4)/2 -> (3k^2+5)/2 on x e^{-kxi/2} S
+    (((0, 2), (5, 0, -3), (0, -2)),
+     lambda k: (sympy.I * k, (3 * k ** 2 + 5) / 2, -sympy.I * k)),
+    # the sign of the e^{kix} term
+    (((0, 2), (4, 0, -3), (0, 2)),
+     lambda k: (sympy.I * k, (3 * k ** 2 + 4) / 2, sympy.I * k)),
+]
+
+
+class TestResidueIdentity:
+    @pytest.mark.parametrize("point", ["k1+", "k1-"])
+    def test_numerators_vanish_at_the_poles(self, point):
+        assert lax.residue_identity(point) == [{}, {}]
+
+    @pytest.mark.parametrize("point", ["k2+", "k2-"])
+    def test_no_pole_at_k2(self, point):
+        # 3k^2 + 2 = -6 there
+        assert lax.residue_identity(point) is None
+
+    @pytest.mark.parametrize("point", ["k1+", "k1-"])
+    @pytest.mark.parametrize("positive", [True, False])
+    def test_sympy_oracle(self, point, positive):
+        # the closed forms, not the library's table, vanish identically at
+        # the pole for x of either sign; a wrong Phi_12 row does not
+        k = sympy_point(point)
+        x = sympy.Symbol("x", positive=positive, negative=not positive)
+        assert all(vanishes(n) for n in sympy_numerators(k, x, closed_forms(k, sympy.I)))
+        for _, wrong in WRONG_ROWS:
+            assert not vanishes(sympy_numerators(k, x, [wrong(k)])[0])
+
+    @pytest.mark.parametrize("point", ["k1+", "k1-"])
+    @pytest.mark.parametrize("row, closed", WRONG_ROWS, ids=["xS-constant", "eikx-sign"])
+    def test_wrong_numerator_is_found(self, point, row, closed, monkeypatch):
+        # the map of a wrong Phi_12 row is nonzero, and it is exactly the
+        # sympy expansion of twice the same wrong closed form
+        monkeypatch.setattr(lax, "PHI_NUMERATORS", (row, lax.PHI_NUMERATORS[1]))
+        got12, got22 = lax.residue_identity(point)
+        assert got12 and got22 == {}
+        k = sympy_point(point)
+        x = sympy.Symbol("x", positive=True)
+        n12, = sympy_numerators(k, x, [closed(k)])
+        mapped = sum((sympy.Rational(a) + sympy.Rational(b) * sympy.sqrt(6))
+                     * sympy.exp(sympy.Rational(t) * sympy.sqrt(6) * x)
+                     for t, (a, b) in got12.items())
+        assert vanishes(mapped - 2 * n12)
+
+    @pytest.mark.parametrize("k", [0.7 + 0.2j, 2.0 - 1.0j, 0.3j, 1.5,
+                                   1.001 * lax.point_value("k1+")])
+    def test_table_matches_closed_forms(self, k):
+        f1 = 3 * k * k + 2
+        for got, want in zip(lax._phi_coefficients(k), closed_forms(k)):
+            for g, w in zip(got, want):
+                assert abs(g - w / f1) <= 1e-15 * abs(w / f1)
+
     @pytest.mark.parametrize("point", ["k1+", "k1-", "k2+", "k2-"])
-    @pytest.mark.parametrize("sign", [1, -1])
-    def test_largest_accepted_x_stays_finite(self, point, sign):
-        # bisect the largest |x| the bound accepts; the probe there is finite
-        limit = math.log(sys.float_info.max)
-        lo, hi = 0.0, 1e4
-        for _ in range(60):
-            mid = (lo + hi) / 2
-            if lax.probe_log_bound(point, sign * mid) < limit:
-                lo = mid
-            else:
-                hi = mid
-        assert lo > 400
-        with pytest.raises(ValueError, match="overflows the probe"):
-            lax.removable_probe(point, sign * hi)
-        probe = lax.removable_probe(point, sign * lo)
-        values = probe["phi12"] + probe["phi22"]
-        gaps = probe["phi12_gaps"] + probe["phi22_gaps"]
-        assert all(cmath.isfinite(v) for v in values)
-        assert all(math.isfinite(g) for g in gaps)
+    def test_probe_reports_the_identity(self, point):
+        probe = lax.removable_probe(point)
+        assert probe["exact_removable"] is True
+        assert probe["numerators"] == lax.residue_identity(point)
+        assert probe["x"] == lax.PROBE_X == 1.0
+
+    def test_exact_verdict_reads_both_maps(self, monkeypatch):
+        # a nonzero Phi_22 map alone refuses removability, though the float
+        # probe still converges
+        monkeypatch.setattr(lax, "residue_identity",
+                            lambda point: [{}, {Fraction(1, 3): (Fraction(1), Fraction(0))}])
+        probe = lax.removable_probe("k1+")
+        assert probe["exact_removable"] is False
+        assert probe["cauchy_decreasing"] is True

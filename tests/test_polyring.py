@@ -28,6 +28,18 @@ class TestQQi:
         for v in (QQi(Fraction(-3, 17)), QQi(Fraction(5)), QQi(Fraction(1, 2), Fraction(-2, 7))):
             assert QQi.from_json(v.to_json()) == v
 
+    @pytest.mark.parametrize("value", [0.1, 1.0, "1/3", None, 1j])
+    def test_only_exact_coefficients(self, value):
+        # a float would store its binary expansion, a string its parse
+        with pytest.raises(TypeError, match="exact coefficient"):
+            QQi.of(value)
+        with pytest.raises(TypeError, match="exact coefficient"):
+            ExactPoly({(0, 0): value})
+        with pytest.raises(TypeError, match="exact coefficient"):
+            ExactPoly.constant(value)
+        with pytest.raises(TypeError, match="exact coefficient"):
+            poly_xy({(1, 0): 1}).scale(value)
+
 
 class TestParseRational:
     @pytest.mark.parametrize("value, expected", [
