@@ -112,9 +112,10 @@ def _parse_params(pairs) -> Dict[str, Fraction]:
 
 
 def _load_record(spec: str):
-    """A catalog id, or else a path to an interchange polynomial file in either
-    basis; a file named like an id is read as ./<id>.  Only a regular file is
-    read: a FIFO would block and a device such as /dev/zero never ends."""
+    """verify's --tau: a catalog id, or else a path to an interchange
+    polynomial file in either basis; a file named like an id is read as
+    ./<id>.  Only a regular file is read: a FIFO would block and a device
+    such as /dev/zero never ends."""
     path = Path(spec)
     try:
         is_file = spec not in cat.catalog() and (path.suffix == ".json" or path.exists())
@@ -137,6 +138,18 @@ def _load_record(spec: str):
     if poly.basis is Basis.ZZBAR:
         poly = poly.to_xy()
     return cat.TauRecord.plain(path.stem, poly, 2, STANDARD)
+
+
+def _bnew_record(spec: str):
+    """The (3/2) dxx log tau record of a catalog id, -bnew implied: cm-check's
+    --tau and energy's --tau and --ratio-to.  Never a file."""
+    recs = cat.catalog()
+    rec = recs.get(spec if spec.endswith("-bnew") else spec + "-bnew")
+    if rec is None:
+        known = sorted(rid for rid in recs if rid.endswith("-bnew"))
+        raise UsageError(f"no (3/2) record for tau id {spec!r}; known: {known} "
+                         "(the -bnew suffix may be left off)")
+    return rec
 
 
 # ---------------------------------------------------------------------------
@@ -214,15 +227,7 @@ def _worst(values) -> float:
 
 
 def cmd_cm_check(args):
-    if not (math.isfinite(args.tol) and args.tol >= 0):
-        raise UsageError(f"--tol must be finite and >= 0, got {args.tol}")
-    rec_id = args.tau
-    if not rec_id.endswith("-bnew"):
-        rec_id = rec_id + "-bnew"
-    try:
-        rec = cat.get_record(rec_id)
-    except KeyError as exc:
-        raise UsageError(exc.args[0]) from None
+    rec = _bnew_record(args.tau)
     try:
         ys = [parse_rational(v) for v in args.y.split(",") if v.strip()]
     except ValueError as exc:
@@ -249,12 +254,12 @@ def cmd_cm_check(args):
             rows.append({"y": y, "n_poles": cfg.n,
                          "max_locus_residual": max_locus,
                          "max_tangent_residual_of_flow": max_tangent})
-            ok = ok and max_locus <= args.tol and max_tangent <= args.tol
+            ok = ok and max(max_locus, max_tangent) <= cm.RESIDUAL_TOL
         except (cm.CoincidentPolesError, cm.RootFindingError) as exc:
             rows.append({"y": y, "error": str(exc)})
             ok = False
-    return ({"tau": rec_id, "y": ys, "tol": args.tol},
-            {"rows": rows, "within_tolerance": ok}, ok)
+    return ({"tau": rec.id, "y": ys},
+            {"tol": cm.RESIDUAL_TOL, "rows": rows, "within_tolerance": ok}, ok)
 
 
 def cmd_lax_table(args):
@@ -281,8 +286,8 @@ def cmd_lax_probe(args):
 
 
 def cmd_energy(args):
-    rec = _load_record(args.tau)
-    other = _load_record(args.ratio_to) if args.ratio_to else None
+    rec = _bnew_record(args.tau)
+    other = _bnew_record(args.ratio_to) if args.ratio_to else None
     results = {"id": rec.id, "half_width": args.half_width, "step": args.step}
     try:
         results["H"] = cat.energy(rec, half_width=args.half_width,
@@ -357,7 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", required=True,
                    help="catalog id (the -bnew variant is implied)")
     p.add_argument("--y", default="0,1/2,1,2", help="comma list of rationals")
-    p.add_argument("--tol", type=float, default=1e-9)
     p.set_defaults(func=cmd_cm_check, exact=False)
 
     p = sub.add_parser("lax-table", help="the twelve phase entries, exact")
@@ -368,11 +372,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_lax_probe, exact=True)
 
     p = sub.add_parser("energy", help="quadrature energy of a (3/2)-record")
-    p.add_argument("--tau", required=True)
+    p.add_argument("--tau", required=True,
+                   help="catalog id (the -bnew variant is implied)")
     p.add_argument("--half-width", type=float, default=200.0)
     p.add_argument("--step", type=float, default=0.05)
     p.add_argument("--ratio-to", default=None,
-                   help="also report H(tau)/H(other)")
+                   help="also report H(tau)/H(other), a catalog id as --tau")
     p.set_defaults(func=cmd_energy, exact=False)
 
     p = sub.add_parser("degree", help="balanced decay degree for index k")

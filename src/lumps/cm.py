@@ -32,6 +32,8 @@ from .polyring import ExactPoly
 ROOT_TOL = 1e-10
 #: smallest pole gap accepted as distinct
 GAP_THRESHOLD = 1e-8
+#: largest locus or flow-tangency residual that cm-check accepts
+RESIDUAL_TOL = 1e-9
 
 
 class CoincidentPolesError(ValueError):

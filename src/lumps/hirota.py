@@ -149,22 +149,11 @@ def hirota_axis_coeff(order: int, a: int, c: int) -> int:
     the integer is sum_r (-1)^r C(order, r) falling(a, order-r) falling(c, r).
     A nonnegative exponent bounds the sum, since falling(a, s) = 0 for
     s > a >= 0; so the coefficient is 0 when a, c >= 0 and a + c < order.
-    The falling factorials and binomials advance incrementally with r.
     """
     lo = max(order - a, 0) if a >= 0 else 0
     hi = min(c, order) if c >= 0 else order
-    if lo > hi:
-        return 0
-    fa = [1]  # fa[s] = falling(a, s)
-    for t in range(order - lo):
-        fa.append(fa[-1] * (a - t))
-    total, fc, binom = 0, falling(c, lo), comb(order, lo)
-    for r in range(lo, hi + 1):
-        term = binom * fa[order - r] * fc
-        total += -term if r & 1 else term
-        fc *= c - r
-        binom = binom * (order - r) // (r + 1)
-    return total
+    return sum((-1) ** r * comb(order, r) * falling(a, order - r) * falling(c, r)
+               for r in range(lo, hi + 1))
 
 
 def hirota_monomial_zz(a: int, b: int, c: int, d: int, p: int, q: int) -> Fraction:

@@ -37,16 +37,6 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 
-def eigenvalues(k: complex) -> Tuple[complex, complex, complex]:
-    """(lambda_1, lambda_2, lambda_3) with the principal branch of the root."""
-    s = cmath.sqrt(3 * k * k + 8)
-    return (1j * k, (-1j * k + s) / 2, (-1j * k - s) / 2)
-
-
-def sigma_of_lambda(lam: complex) -> complex:
-    return 1j * (3 * lam * lam - 4)
-
-
 # ---------------------------------------------------------------------------
 # exact phase table at the four distinguished points
 

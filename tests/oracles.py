@@ -34,8 +34,14 @@ The chain oracle runs the a/J, sigma and beta recursions exactly as the
 classify docstrings state them, step by step in plain Fraction arithmetic
 (no common denominators), with every structure constant taken from its own
 falling-factorial axis sum; it imports neither classify nor hirota.
+
+The eigenvalue oracle gives lambda_1 = i k, lambda_{2,3} = (-i k +/-
+sqrt(3 k^2 + 8)) / 2 and sigma = i (3 lambda^2 - 4) in complex floats, the
+principal branch of the root: the Vandermonde reference that the Lax tests
+hold the library's closed-form Phi entries and exact phase table against.
 """
 
+import cmath
 from fractions import Fraction
 from math import comb, factorial
 
@@ -334,3 +340,13 @@ def chain_oracle(n: int, ordered: bool = True, gammas: bool = False) -> dict:
         gamma[q] = beta[-1]
         betas[q] = beta
     return {"a": a, "J": J, "sigma": sigma, "gamma": gamma, "beta": betas}
+
+
+def eigenvalues(k: complex) -> tuple:
+    """(lambda_1, lambda_2, lambda_3) with the principal branch of the root."""
+    s = cmath.sqrt(3 * k * k + 8)
+    return (1j * k, (-1j * k + s) / 2, (-1j * k - s) / 2)
+
+
+def sigma_of_lambda(lam: complex) -> complex:
+    return 1j * (3 * lam * lam - 4)

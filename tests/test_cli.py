@@ -26,6 +26,13 @@ def run(capsys, *argv):
     return code, report, out.err
 
 
+def no_bnew_record(spec):
+    """stderr of cm-check or energy given an id with no (3/2) record."""
+    known = sorted(r for r in catalog.catalog() if r.endswith("-bnew"))
+    return (f"error: no (3/2) record for tau id {spec!r}; known: {known} "
+            "(the -bnew suffix may be left off)\n")
+
+
 def fresh_python(*argv, timeout=120):
     """Run ``python argv...`` in a new interpreter with this checkout's src."""
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -66,13 +73,15 @@ class TestVerify:
 
     def test_unknown_id_exits_two(self, capsys):
         known = sorted(catalog.catalog())
-        for argv, rec_id in ((["verify", "--tau", "nope"], "nope"),
-                             (["energy", "--tau", "nope"], "nope"),
-                             (["cm-check", "--tau", "nope"], "nope-bnew")):
-            code, report, err = run(capsys, *argv)
+        code, report, err = run(capsys, "verify", "--tau", "nope")
+        assert code == 2
+        assert report is None
+        assert err == f"error: unknown tau id 'nope'; known: {known}\n"
+        for command in ("energy", "cm-check"):
+            code, report, err = run(capsys, command, "--tau", "nope")
             assert code == 2
             assert report is None
-            assert err == f"error: unknown tau id {rec_id!r}; known: {known}\n"
+            assert err == no_bnew_record("nope")
 
     def test_unbound_param_exits_two(self, capsys):
         code, _, err = run(capsys, "verify", "--tau", "yang6",
@@ -170,13 +179,15 @@ class TestVerify:
         # writer blocks, which in-process would hang the suite
         fifo = tmp_path / "tau.json"
         os.mkfifo(fifo)
-        for argv in (["verify", "--tau", str(fifo)],
-                     ["energy", "--tau", "lump2-bnew", "--ratio-to", str(fifo)]):
+        for argv, message in (
+                (["verify", "--tau", str(fifo)],
+                 f"error: cannot read polynomial file {fifo}: not a regular file\n"),
+                (["energy", "--tau", "lump2-bnew", "--ratio-to", str(fifo)],
+                 no_bnew_record(str(fifo)))):
             proc = fresh_python("-m", "lumps.cli", *argv, timeout=30)
             assert proc.returncode == 2
             assert proc.stdout == ""
-            assert proc.stderr == (f"error: cannot read polynomial file {fifo}: "
-                                   "not a regular file\n")
+            assert proc.stderr == message
 
     def test_catalog_id_wins_over_working_directory(self, capsys, tmp_path,
                                                      monkeypatch):
@@ -428,13 +439,21 @@ class TestCmCheck:
         row, = json.loads(proc.stdout, parse_constant=refuse)["results"]["rows"]
         assert row["error"].startswith("residual is not finite")
 
-    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "1", "1e-9"])
     def test_bad_tol_is_usage_error(self, capsys, tol):
-        code, report, err = run(capsys, "cm-check", "--tau", "lump2",
-                                f"--tol={tol}")
-        assert code == 2
-        assert report is None
-        assert "--tol must be finite and >= 0" in err
+        # the bound is cm.RESIDUAL_TOL: no --tol, not even a loose one, parses
+        with pytest.raises(SystemExit) as exc:
+            main(["cm-check", "--tau", "lump2", f"--tol={tol}"])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "unrecognized arguments: --tol" in out.err
+
+    def test_bound_is_reported(self, capsys):
+        code, report, _ = run(capsys, "cm-check", "--tau", "lump2", "--y", "1")
+        assert code == 0
+        assert report["results"]["tol"] == cli.cm.RESIDUAL_TOL == 1e-9
+        assert report["inputs"] == {"tau": "lump2-bnew", "y": ["1"]}
 
     def test_nan_after_finite_residuals_fails_the_row(self, capsys, monkeypatch):
         # max() over [0.0, nan] returns 0.0: every value is tested instead
@@ -461,6 +480,13 @@ class TestCmCheck:
                               "--y", "0")
         assert code == 0
         assert report["results"]["rows"][0]["n_poles"] == 6
+
+    @pytest.mark.parametrize("tau", ["yang6", "pelin12", "lump2-bnew-bnew"])
+    def test_id_without_bnew_record_exits_two(self, capsys, tau):
+        code, report, err = run(capsys, "cm-check", "--tau", tau)
+        assert code == 2
+        assert report is None
+        assert err == no_bnew_record(tau)
 
 
 class TestLax:
@@ -540,13 +566,29 @@ class TestEnergyAndDegree:
                                 "--ratio-to", "nope")
         assert code == 2
         assert report is None
-        assert err.startswith("error: unknown tau id 'nope'")
+        assert err == no_bnew_record("nope")
         assert calls == []
 
-    def test_energy_wrong_record_exits_two(self, capsys):
-        code, _, err = run(capsys, "energy", "--tau", "lump2")
+    def test_energy_plain_id_implies_bnew(self, capsys):
+        plain, suffixed = (
+            run(capsys, "energy", "--tau", tau, "--ratio-to", other,
+                "--half-width", "20", "--step", "0.5")[1]["results"]
+            for tau, other in (("pelin6", "lump2"), ("pelin6-bnew", "lump2-bnew")))
+        assert plain["id"] == "pelin6-bnew"
+        for key in ("H", "H_reference", "ratio"):
+            assert plain[key] == suffixed[key], key
+
+    @pytest.mark.parametrize("tau", ["yang6", "FILE.json"])
+    def test_energy_id_without_bnew_record_exits_two(self, capsys, tmp_path,
+                                                     monkeypatch, tau):
+        # a file of that name is never read: the error names the accepted ids
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "FILE.json").write_text(poly_xy({(2, 0): 1, (0, 2): 1}).dumps())
+        code, report, err = run(capsys, "energy", "--tau", tau)
         assert code == 2
-        assert "normalization" in err
+        assert report is None
+        assert err == no_bnew_record(tau)
+        assert "'lump2-bnew', 'pelin12-corrected-bnew', 'pelin6-bnew'" in err
 
     def test_energy_catalog_id_wins_over_working_directory(self, capsys, tmp_path,
                                                             monkeypatch):
@@ -558,10 +600,11 @@ class TestEnergyAndDegree:
                               "--ratio-to", "lump2-bnew")
         assert code == 0
         assert abs(report["results"]["ratio"] - 3.0) < 0.2
-        # a path reads the file, which lacks the (3/2) normalization
-        code, _, err = run(capsys, "energy", "--tau", "./lump2-bnew")
+        # a path is not an id, even when it names a file
+        code, report, err = run(capsys, "energy", "--tau", "./lump2-bnew")
         assert code == 2
-        assert "normalization" in err
+        assert report is None
+        assert err == no_bnew_record("./lump2-bnew")
 
     @pytest.mark.parametrize("window, message", [
         (["--step", "0"], "step must be finite and > 0"),
@@ -597,11 +640,11 @@ class TestEnergyAndDegree:
         # the last band; the report names the cause and no worker is left
         tau = poly_xy({(2, 2): 1, (2, 0): Fraction(-1225, 64), (0, 2): 1,
                        (0, 0): Fraction(-1225, 64)})
-        rec = cli.cat.TauRecord.plain("band-cone", tau, Fraction(3, 2),
+        rec = cli.cat.TauRecord.plain("band-cone-bnew", tau, Fraction(3, 2),
                                       cli.cat.BNEW)
-        monkeypatch.setitem(cli.cat.catalog(), "band-cone", rec)
+        monkeypatch.setitem(cli.cat.catalog(), "band-cone-bnew", rec)
         monkeypatch.setattr(cli.cat, "_workers", lambda rows: workers)
-        code, report, _ = run(capsys, "energy", "--tau", "band-cone",
+        code, report, _ = run(capsys, "energy", "--tau", "band-cone-bnew",
                               "--half-width", "5", "--step", "0.25")
         assert code == 1
         assert "tau vanishes" in report["results"]["error"]

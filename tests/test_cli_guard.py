@@ -6,15 +6,19 @@ report (no NaN or Infinity), or empty with exit 2.  Sizes stay cheap:
 ``--max-n`` <= 20, ``--n`` <= 30, energy windows of at most 20 cells per
 side (or far beyond the cap, which is refused), a custom-form order of
 10^6, which is zero on every pair of a catalog tau, and decimal exponents
-far past 4300, which are refused before any integer is built.
+far past 4300, which are refused before any integer is built.  The grammar
+also draws removed options (``--tol``, ``--x``, ``--jobs``), which argparse
+must refuse; two more tests keep it covering every option and subcommand
+that ``build_parser()`` defines.
 """
 
+import argparse
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, Phase, find, given, settings
 from hypothesis import strategies as st
 
 from lumps import cli
@@ -103,6 +107,7 @@ def grammar(command, paths):
         n = st.integers(-3, 30).map(str) | st.sampled_from(INTS)
         return concat(st.just(["certify"]), n.map(lambda v: [f"--n={v}"]))
     if command == "cm-check":
+        # the bound is cm.RESIDUAL_TOL: a --tol, however valid, is refused
         heights = st.lists(st.sampled_from(RATIONALS), max_size=3).map(",".join)
         return concat(st.just(["cm-check"]), option("--tau", IDS),
                       heights.map(lambda y: [f"--y={y}"]),
@@ -172,3 +177,25 @@ def test_argparse_errors_leave_stdout_empty(argv, capsys):
         cli.main(argv)
     assert exc.value.code == 2
     assert capsys.readouterr().out == ""
+
+
+def parser_options():
+    """Subcommand -> the long options build_parser() defines for it."""
+    sub, = (a for a in cli.build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction))
+    return {name: {flag for action in p._actions for flag in action.option_strings
+                   if flag.startswith("--") and flag != "--help"}
+            for name, p in sub.choices.items()}
+
+
+def test_commands_list_every_subcommand():
+    assert sorted(COMMANDS) == sorted(parser_options())
+
+
+@pytest.mark.parametrize("command, flag", sorted(
+    (command, flag) for command, flags in parser_options().items() for flag in flags))
+def test_grammar_draws_every_option(command, flag, paths):
+    # NoSuchExample when no drawn argv carries the option (nothing to shrink)
+    find(grammar(command, paths),
+         lambda argv: any(a.startswith(flag + "=") for a in argv),
+         settings=settings(database=None, phases=[Phase.generate]))

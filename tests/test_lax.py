@@ -7,13 +7,14 @@ import pytest
 import sympy
 
 from lumps import lax
+from oracles import eigenvalues, sigma_of_lambda
 
 SQRT6 = math.sqrt(6.0)
 
 
 def vandermonde(k):
-    """P(k): column j is (1, lambda_j, lambda_j^2) for the library's eigenvalues."""
-    return np.vander(np.array(lax.eigenvalues(k)), 3, increasing=True).T
+    """P(k): column j is (1, lambda_j, lambda_j^2) for the oracle's eigenvalues."""
+    return np.vander(np.array(eigenvalues(k)), 3, increasing=True).T
 
 
 def normalization(k):
@@ -23,7 +24,7 @@ def normalization(k):
 
 class TestEigenvalues:
     def test_k_zero(self):
-        l1, l2, l3 = lax.eigenvalues(0)
+        l1, l2, l3 = eigenvalues(0)
         assert l1 == 0
         assert l2 == pytest.approx(math.sqrt(2))
         assert l3 == pytest.approx(-math.sqrt(2))
@@ -32,25 +33,25 @@ class TestEigenvalues:
         rng = np.random.default_rng(5)
         for _ in range(100):
             k = complex(rng.normal(), rng.normal())
-            assert abs(sum(lax.eigenvalues(k))) < 1e-12
+            assert abs(sum(eigenvalues(k))) < 1e-12
 
     def test_product_matches_characteristic(self):
         # det(T) = -i(k^3 + 2k): the eigenvalue product reproduces it
         rng = np.random.default_rng(6)
         for _ in range(50):
             k = complex(rng.normal(), rng.normal())
-            l1, l2, l3 = lax.eigenvalues(k)
+            l1, l2, l3 = eigenvalues(k)
             assert l1 * l2 * l3 == pytest.approx(-1j * (k**3 + 2 * k))
 
     def test_at_first_distinguished_point(self):
         k = lax.point_value("k1+")
-        l1, l2, l3 = lax.eigenvalues(k)
+        l1, l2, l3 = eigenvalues(k)
         assert l1 == pytest.approx(-SQRT6 / 3)
         assert l2 == pytest.approx(2 * SQRT6 / 3)
         assert l3 == pytest.approx(-SQRT6 / 3)
         # sigma from lambda: i(3 lambda^2 - 4)
-        assert lax.sigma_of_lambda(l1) == pytest.approx(-2j)
-        assert lax.sigma_of_lambda(l2) == pytest.approx(4j)
+        assert sigma_of_lambda(l1) == pytest.approx(-2j)
+        assert sigma_of_lambda(l2) == pytest.approx(4j)
 
 
 class TestPhaseTable:
@@ -76,11 +77,11 @@ class TestPhaseTable:
         for name in lax.DISTINGUISHED:
             k = lax.point_value(name)
             tol = 1e-12 if name.startswith("k1") else 1e-6
-            lams = lax.eigenvalues(k)
+            lams = eigenvalues(k)
             for j, lam in enumerate(lams, start=1):
                 e = table[(name, j)]
                 assert lam == pytest.approx(float(e.x_coeff) * SQRT6, abs=tol)
-                assert lax.sigma_of_lambda(lam) == pytest.approx(
+                assert sigma_of_lambda(lam) == pytest.approx(
                     1j * float(e.y_coeff), abs=tol)
 
     def test_print_comparison(self):
@@ -105,7 +106,7 @@ class TestPhaseTable:
 
 
 class TestEMatrix:
-    """E = n(k) P(k) on the Vandermonde P of lax.eigenvalues."""
+    """E = n(k) P(k) on the Vandermonde P of the oracle's eigenvalues."""
 
     def test_unit_normalization_relation(self):
         # n det P = 1 (det P is the Vandermonde product), while det(n P) =
@@ -130,7 +131,7 @@ class TestEMatrix:
         E = normalization(k) * vandermonde(k)
         T = np.array([[0, 1, 0], [0, 0, 1],
                       [-1j * (k**3 + 2 * k), 2, 0]], dtype=complex)
-        lams = lax.eigenvalues(k)
+        lams = eigenvalues(k)
         for col, lam in enumerate(lams):
             v = E[:, col]
             assert np.max(np.abs(T @ v - lam * v)) < 1e-10
@@ -148,7 +149,7 @@ class TestPhiEntries:
         k = 0.9 + 0.4j
         x = 0.7
         E = normalization(k) * vandermonde(k)
-        lams = lax.eigenvalues(k)
+        lams = eigenvalues(k)
         Phi = E @ np.diag([cmath.exp(l * x) for l in lams]) @ np.linalg.inv(E)
         p12, p22 = lax.phi_entries(k, x)
         assert Phi[0, 1] == pytest.approx(p12, rel=1e-9)
