@@ -1,12 +1,13 @@
 """Command-line interface: verification, scans, certificates, CM and Lax checks.
 
 One binary, subcommand style.  Each subcommand does its work and returns
-(inputs, results, verified), or raises UsageError; whether its results are
-exact is stated beside its parser entry.  ``main`` alone times the command,
-prints the single JSON report (scans additionally write CSV via --out) and
-exits: 0 when verified, 1 on a verification failure (nonzero residual,
-failed certificate, out-of-tolerance residuals), 2 on a usage error (unknown
-ids, malformed files, unbound parameters; nothing on stdout).
+(results, verified), or raises UsageError; whether its results are exact is
+stated beside its parser entry.  ``main`` alone times the command, prints the
+single JSON report (scans additionally write CSV via --out) and exits: 0 when
+verified, 1 on a verification failure (nonzero residual, failed certificate,
+out-of-tolerance residuals), 2 on a usage error (unknown ids, malformed files,
+unbound parameters; nothing on stdout).  The report's "inputs" are the options
+as argparse parsed them; what a command resolves from them is in "results".
 
 Exact rationals are serialized as strings "p/q"; they are never emitted as
 floats.  The report's "exact" flag is true when the verdict is decided
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from pathlib import Path
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 from . import catalog as cat
 from . import classify, cm, lax
@@ -38,21 +39,19 @@ class UsageError(Exception):
 
 
 def jsonable(value: Any) -> Any:
-    """Lossless-ish JSON projection: Fractions as 'p/q', QQi as its interchange
-    form, complex as [re, im]."""
+    """JSON projection: Fractions as 'p/q', QQi as its interchange form, complex
+    as [re, im]; any other value goes as is, and json.dumps refuses a foreign type."""
     if isinstance(value, Fraction):
         return str(value)
     if isinstance(value, QQi):
         return value.to_json()
-    if isinstance(value, (bool, int, float, str)) or value is None:
-        return value
     if isinstance(value, complex):
         return [value.real, value.imag]
     if isinstance(value, dict):
         return {str(k): jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple, set)):
+    if isinstance(value, (list, tuple)):
         return [jsonable(v) for v in value]
-    return str(value)
+    return value
 
 
 @dataclass
@@ -78,21 +77,15 @@ class RunReport:
         stream.write(text + "\n")
 
 
-def _resolve_form(name: Optional[str], custom: Optional[str]):
-    if custom:
-        try:
-            triples = json.loads(custom)
-            return custom_form(triples)
-        except (ValueError, TypeError) as exc:
-            raise UsageError(f"malformed --custom-form: {exc}") from exc
-    if name is None:
-        return None
+def _resolve_form(spec: str):
+    """verify's --form: a preset name, or else JSON [weight, a, b] triples."""
+    if spec in PRESETS:
+        return PRESETS[spec]
     try:
-        return PRESETS[name]
-    except KeyError:
-        raise UsageError(
-            f"unknown form preset {name!r}; available: {sorted(PRESETS)}"
-        ) from None
+        return custom_form(json.loads(spec))
+    except (ValueError, TypeError) as exc:
+        raise UsageError(f"malformed --form: neither a preset {sorted(PRESETS)} "
+                         f"nor a JSON form: {exc}") from exc
 
 
 def _parse_params(pairs) -> Dict[str, Fraction]:
@@ -153,12 +146,12 @@ def _bnew_record(spec: str):
 
 
 # ---------------------------------------------------------------------------
-# subcommands: each returns (inputs, results, verified)
+# subcommands: each returns (results, verified)
 
 
 def cmd_verify(args):
     rec = _load_record(args.tau)
-    form = _resolve_form(args.form, args.custom_form) or rec.form
+    form = rec.form if args.form is None else _resolve_form(args.form)
     bindings = _parse_params(args.param)
     try:
         residual = cat.verify_tau(rec, bindings, form)
@@ -167,13 +160,14 @@ def cmd_verify(args):
     leading = sorted(residual.numerators()[1], key=grlex)[:10]
     results = {
         "id": rec.id,
+        "form": form.name,
+        "params": bindings,
         "is_solution": residual.is_zero(),
         "residual_term_count": residual.num_terms(),
         "residual_terms": [[i, j, residual.coeff(i, j)] for (i, j) in leading],
         "notes": rec.notes,
     }
-    inputs = {"tau": args.tau, "form": form.name, "params": bindings}
-    return inputs, results, residual.is_zero()
+    return results, residual.is_zero()
 
 
 def cmd_scan_jn(args):
@@ -201,8 +195,7 @@ def cmd_scan_jn(args):
         "errors": errors,
         "uncertified": uncertified,
     }
-    inputs = {"max_n": args.max_n, "routes": list(routes), "out": args.out}
-    return inputs, results, not (errors or uncertified) and law_holds in (True, None)
+    return results, not (errors or uncertified) and law_holds in (True, None)
 
 
 def cmd_certify(args):
@@ -216,7 +209,7 @@ def cmd_certify(args):
         "all_nonzero": cert.all_nonzero,
         "unique_even": cert.all_nonzero,
     }
-    return {"n": args.n}, results, cert.all_nonzero
+    return results, cert.all_nonzero
 
 
 def _worst(values) -> float:
@@ -258,8 +251,8 @@ def cmd_cm_check(args):
         except (cm.CoincidentPolesError, cm.RootFindingError) as exc:
             rows.append({"y": y, "error": str(exc)})
             ok = False
-    return ({"tau": rec.id, "y": ys},
-            {"tol": cm.RESIDUAL_TOL, "rows": rows, "within_tolerance": ok}, ok)
+    return {"id": rec.id, "tol": cm.RESIDUAL_TOL, "rows": rows,
+            "within_tolerance": ok}, ok
 
 
 def cmd_lax_table(args):
@@ -274,7 +267,7 @@ def cmd_lax_table(args):
         "documented_errata": [list(m) for m in lax.PRINT_ERRATA],
         "mismatches_are_documented_errata": as_documented,
     }
-    return {}, results, as_documented
+    return results, as_documented
 
 
 def cmd_lax_probe(args):
@@ -282,13 +275,14 @@ def cmd_lax_probe(args):
         raise UsageError(
             f"unknown point {args.point!r}; choose from {sorted(lax.DISTINGUISHED)}")
     probe = lax.removable_probe(args.point)
-    return {"point": args.point}, probe, probe["exact_removable"]
+    return probe, probe["exact_removable"]
 
 
 def cmd_energy(args):
     rec = _bnew_record(args.tau)
     other = _bnew_record(args.ratio_to) if args.ratio_to else None
-    results = {"id": rec.id, "half_width": args.half_width, "step": args.step}
+    results = {"id": rec.id, "reference_id": other and other.id,
+               "half_width": args.half_width, "step": args.step}
     try:
         results["H"] = cat.energy(rec, half_width=args.half_width,
                                   step=args.step)
@@ -300,9 +294,7 @@ def cmd_energy(args):
         raise UsageError(str(exc)) from None
     except ArithmeticError as exc:
         results["error"] = str(exc)
-    return ({"tau": args.tau, "half_width": args.half_width,
-             "step": args.step, "ratio_to": args.ratio_to},
-            results, "error" not in results)
+    return results, "error" not in results
 
 
 def cmd_degree(args):
@@ -318,7 +310,7 @@ def cmd_degree(args):
         "balanced": balance.balanced,
         "tau_degree": args.k * (args.k + 1),
     }
-    return {"k": args.k}, results, balance.balanced
+    return results, balance.balanced
 
 
 # ---------------------------------------------------------------------------
@@ -336,13 +328,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="exact bilinear residual of a tau record")
     p.add_argument("--tau", required=True,
                    help="catalog id or interchange polynomial file")
-    form = p.add_mutually_exclusive_group()
-    form.add_argument("--form", default=None,
-                      help=f"form preset ({', '.join(sorted(PRESETS))}); "
-                           "default: the record's own form")
-    form.add_argument("--custom-form", default=None,
-                      help='JSON list of [weight, a, b] triples, e.g. '
-                           '"[[\\"1\\",4,0],[\\"-1\\",2,0],[\\"-1\\",0,2]]"')
+    p.add_argument("--form", default=None,
+                   help=f"form preset ({', '.join(sorted(PRESETS))}) or a JSON "
+                        'list of [weight, a, b] triples, e.g. '
+                        '"[[\\"1\\",4,0],[\\"-1\\",2,0],[\\"-1\\",0,2]]"; '
+                        "default: the record's own form")
     p.add_argument("--param", action="append", metavar="NAME=VALUE",
                    help="bind a free parameter (repeatable)")
     p.set_defaults(func=cmd_verify, exact=True)
@@ -391,10 +381,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     t0 = time.perf_counter()
     try:
-        inputs, results, verified = args.func(args)
+        results, verified = args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    inputs = {k: v for k, v in vars(args).items()
+              if k not in ("command", "func", "exact")}
     RunReport(args.command, inputs, results, time.perf_counter() - t0,
               args.exact).emit()
     return 0 if verified else 1

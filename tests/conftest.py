@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
@@ -73,6 +77,17 @@ def conjugate(c: QQi) -> QQi:
 @pytest.fixture
 def rng():
     return random.Random(20240817)
+
+
+def fresh_python(*argv, paths=(), timeout=120):
+    """Run ``python argv...`` in a new interpreter with ``paths``, then this
+    checkout's src, first on PYTHONPATH."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [*map(str, paths), str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, *argv], capture_output=True,
+                          text=True, env=env, timeout=timeout)
 
 
 def pytest_terminal_summary(terminalreporter):

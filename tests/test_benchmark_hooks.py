@@ -7,23 +7,18 @@ benchmark, so its wrappers never reach this test session.
 """
 
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
+from conftest import fresh_python
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def _traced(code: str) -> str:
     """Stdout of ``code`` run in a fresh interpreter after ``Tracer.install``."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "perfbench"), str(ROOT / "src")]
-        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    proc = subprocess.run(
-        [sys.executable, "-c", "from tracer import Tracer; t = Tracer('t'); t.install()\n" + code],
-        env=env, cwd=ROOT, capture_output=True, text=True, timeout=120)
+    proc = fresh_python(
+        "-c", "from tracer import Tracer; t = Tracer('t'); t.install()\n" + code,
+        paths=[PERFBENCH])
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 

@@ -1,13 +1,11 @@
 import hashlib
 import math
 import os
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
+from conftest import fresh_python
 from lumps import catalog as cat
 from lumps.hirota import PRESETS, YANG
 from lumps.polyring import ExactPoly, QQi, poly_xy, r_squared
@@ -371,12 +369,7 @@ class TestEnergyBands:
             "print(cat.energy(cat.catalog()['lump2-bnew'], 5.0, 0.25))\n"
             "cat._energy_rows = fails\n"
             "print(cat.energy(cat.catalog()['lump2-bnew'], 5.0, 0.25))\n")
-        env = dict(os.environ)
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env["PYTHONPATH"] = os.pathsep.join(
-            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                              text=True, env=env, timeout=120)
+        proc = fresh_python("-c", code)
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == ""
         lines = proc.stdout.splitlines()

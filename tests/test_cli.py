@@ -5,7 +5,6 @@ import json
 import math
 import os
 import shlex
-import subprocess
 import sys
 import time
 from fractions import Fraction
@@ -14,6 +13,7 @@ from pathlib import Path
 import numpy
 import pytest
 
+from conftest import fresh_python
 from lumps import catalog, classify, cli, lax
 from lumps.cli import RunReport, main
 from lumps.polyring import poly_xy, poly_zz
@@ -33,16 +33,6 @@ def no_bnew_record(spec):
             "(the -bnew suffix may be left off)\n")
 
 
-def fresh_python(*argv, timeout=120):
-    """Run ``python argv...`` in a new interpreter with this checkout's src."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    return subprocess.run([sys.executable, *argv], capture_output=True,
-                          text=True, env=env, timeout=timeout)
-
-
 class TestVerify:
     def test_lump2(self, capsys):
         code, report, _ = run(capsys, "verify", "--tau", "lump2",
@@ -56,7 +46,7 @@ class TestVerify:
         code, report, _ = run(capsys, "verify", "--tau", "yang6",
                               "--param", "a=2", "--param", "b=-3")
         assert code == 0
-        assert report["inputs"]["params"] == {"a": "2", "b": "-3"}
+        assert report["results"]["params"] == {"a": "2", "b": "-3"}
 
     def test_nonsolution_exits_one(self, capsys):
         code, report, _ = run(capsys, "verify", "--tau", "pelin12")
@@ -108,14 +98,38 @@ class TestVerify:
         assert report is None
         assert "--param a is given more than once" in err
 
-    def test_form_and_custom_form_exclusive(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["verify", "--tau", "lump2", "--form", "yang",
-                  "--custom-form", '[["1",4,0],["-1",2,0],["-1",0,2]]'])
-        assert exc.value.code == 2
-        out = capsys.readouterr()
-        assert out.out == ""
-        assert "not allowed with argument" in out.err
+    def test_custom_form_is_removed(self, capsys):
+        # --form takes the JSON triples itself
+        for form in ([], ["--form", "yang"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["verify", "--tau", "lump2", *form,
+                      "--custom-form", '[["1",4,0],["-1",2,0],["-1",0,2]]'])
+            assert exc.value.code == 2
+            out = capsys.readouterr()
+            assert out.out == ""
+            assert "unrecognized arguments: --custom-form" in out.err
+
+    @pytest.mark.parametrize("form", ["nope", ""])
+    def test_unknown_preset_names_the_presets(self, capsys, form):
+        code, report, err = run(capsys, "verify", "--tau", "lump2", "--form", form)
+        assert code == 2
+        assert report is None
+        assert err.startswith("error: malformed --form: neither a preset ['bnew', "
+                              "'even-section', 'standard', 'yang', 'yang-elliptic']")
+
+    @pytest.mark.parametrize("argv, preset", [
+        (["--tau", "pelin6"], "standard"),
+        (["--tau", "yang6", "--param", "a=2", "--param", "b=-3"], "yang"),
+    ], ids=["pelin6", "yang6"])
+    def test_json_form_matches_its_preset(self, capsys, argv, preset):
+        # the presets' triples as JSON give the preset's exit and residual
+        triples = json.dumps([[str(w), a, b] for w, a, b in cli.PRESETS[preset].terms])
+        code, report, _ = run(capsys, "verify", *argv, "--form", triples)
+        want_code, want, _ = run(capsys, "verify", *argv, "--form", preset)
+        assert (code, report["results"]["form"]) == (want_code, "custom")
+        assert report["inputs"]["form"] == triples
+        del report["results"]["form"], want["results"]["form"]
+        assert report["results"] == want["results"]
 
     def test_polynomial_file_input(self, capsys, tmp_path):
         path = tmp_path / "tau.json"
@@ -209,13 +223,13 @@ class TestVerify:
         custom = json.dumps([["1", 4, 0], ["-3", 2, 0], ["-3", 0, 2]])
         code, report, _ = run(capsys, "verify", "--tau", "yang6",
                               "--param", "a=0", "--param", "b=0",
-                              "--custom-form", custom)
+                              "--form", custom)
         assert code == 0
 
     def test_huge_custom_order(self, capsys):
         # D1^(10^6) annihilates every pair of a degree-6 tau at once
         code, report, _ = run(capsys, "verify", "--tau", "pelin6",
-                              "--custom-form", '[["1",1000000,0]]')
+                              "--form", '[["1",1000000,0]]')
         assert code == 0
         assert report["results"]["residual_term_count"] == 0
         assert report["results"]["residual_terms"] == []
@@ -229,16 +243,16 @@ class TestVerify:
     ])
     def test_order_not_a_nonnegative_integer_exits_two(self, capsys, custom):
         code, report, err = run(capsys, "verify", "--tau", "pelin6",
-                                "--custom-form", custom)
+                                "--form", custom)
         assert code == 2
         assert report is None
-        assert "malformed --custom-form" in err and "integers >= 0" in err
+        assert "malformed --form" in err and "integers >= 0" in err
 
     @pytest.mark.parametrize("custom", ["[]", "{}", '["140"]', '{"140": 1}'])
     def test_empty_or_shapeless_custom_form_exits_two(self, capsys, custom):
         # an empty form is solved by every tau
         code, report, err = run(capsys, "verify", "--tau", "pelin12",
-                                "--custom-form", custom)
+                                "--form", custom)
         assert code == 2
         assert report is None
         assert "non-empty list of [weight, a, b] triples" in err
@@ -366,6 +380,8 @@ class TestCmCheck:
                               "--y", "0,1/2,1,2")
         assert code == 0
         rows = report["results"]["rows"]
+        assert report["results"]["id"] == "lump2-bnew"
+        assert [r["y"] for r in rows] == ["0", "1/2", "1", "2"]
         assert [r["n_poles"] for r in rows] == [2, 2, 2, 2]
         assert all(r["max_locus_residual"] <= 1e-9 for r in rows)
         assert all(r["max_tangent_residual_of_flow"] <= 1e-9 for r in rows)
@@ -423,13 +439,8 @@ class TestCmCheck:
     @pytest.mark.parametrize("y", ["1e100", "1e150"])
     def test_overflowing_height_leaves_stderr_empty(self, y):
         # a fresh interpreter, so numpy warnings reach stderr unfiltered
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-        proc = subprocess.run(
-            [sys.executable, "-m", "lumps.cli", "cm-check", "--tau", "lump2",
-             "--y", y], capture_output=True, text=True, env=env, timeout=120)
+        proc = fresh_python("-m", "lumps.cli", "cm-check", "--tau", "lump2",
+                            "--y", y)
         assert proc.returncode == 1
         assert proc.stderr == ""
 
@@ -453,7 +464,8 @@ class TestCmCheck:
         code, report, _ = run(capsys, "cm-check", "--tau", "lump2", "--y", "1")
         assert code == 0
         assert report["results"]["tol"] == cli.cm.RESIDUAL_TOL == 1e-9
-        assert report["inputs"] == {"tau": "lump2-bnew", "y": ["1"]}
+        assert report["results"]["id"] == "lump2-bnew"
+        assert [row["y"] for row in report["results"]["rows"]] == ["1"]
 
     def test_nan_after_finite_residuals_fails_the_row(self, capsys, monkeypatch):
         # max() over [0.0, nan] returns 0.0: every value is tested instead
@@ -656,14 +668,9 @@ class TestEnergyAndDegree:
     def test_energy_past_float_range_exits_one_silently(self, window):
         # a fresh interpreter, so numpy warnings reach stderr unfiltered:
         # at 1e30 the power tables overflow, at 1e10 the degree-33 numerator
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-        proc = subprocess.run(
-            [sys.executable, "-m", "lumps.cli", "energy", "--tau",
-             "pelin12-corrected-bnew", "--half-width", window[0], "--step",
-             window[1]], capture_output=True, text=True, env=env, timeout=120)
+        proc = fresh_python("-m", "lumps.cli", "energy", "--tau",
+                            "pelin12-corrected-bnew", "--half-width", window[0],
+                            "--step", window[1])
         assert proc.returncode == 1
         assert proc.stderr == ""
         results = json.loads(proc.stdout)["results"]
@@ -695,6 +702,14 @@ class TestReport:
         with pytest.raises(ValueError):
             report.emit(io.StringIO())
 
+    @pytest.mark.parametrize("value", [{1, 3}, object(), Path("tau.json")],
+                             ids=["set", "object", "path"])
+    def test_emit_refuses_unlisted_types(self, value):
+        # no value is printed as its repr
+        report = RunReport("verify", {}, {"value": value}, 0.0, True)
+        with pytest.raises(TypeError):
+            report.emit(io.StringIO())
+
     def test_import_loads_no_process_pool(self):
         # a fresh interpreter: importing the CLI stays free of multiprocessing,
         # and of sympy and mpmath, which the tests keep as independent oracles
@@ -709,13 +724,13 @@ class TestReport:
         # error, then a call without bindings reports what a fresh run does
         code, report, _ = run(capsys, "verify", "--tau", "yang6",
                               "--param", "a=1", "--param", "b=2")
-        assert code == 0 and report["inputs"]["params"] == {"a": "1", "b": "2"}
+        assert code == 0 and report["results"]["params"] == {"a": "1", "b": "2"}
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--tau", "lump2", "--no-such-option"])
         assert exc.value.code == 2
         capsys.readouterr()
         code, report, _ = run(capsys, "verify", "--tau", "lump2")
-        assert code == 0 and report["inputs"]["params"] == {}
+        assert code == 0 and report["results"]["params"] == {}
         proc = fresh_python(
             "-c", "import sys; from lumps.cli import main; sys.exit(main(sys.argv[1:]))",
             "verify", "--tau", "lump2")
@@ -723,6 +738,24 @@ class TestReport:
         fresh = json.loads(proc.stdout)
         del report["timing_seconds"], fresh["timing_seconds"]
         assert report == fresh
+
+    def test_resolved_ids_are_results_not_inputs(self, capsys):
+        # inputs keep the ids as typed; results name the records they resolve to
+        code, report, _ = run(capsys, "cm-check", "--tau", "lump2", "--y", "1")
+        assert code == 0
+        assert report["inputs"] == {"tau": "lump2", "y": "1"}
+        assert report["results"]["id"] == "lump2-bnew"
+        code, report, _ = run(capsys, "energy", "--tau", "pelin6", "--ratio-to", "lump2",
+                              "--half-width", "20", "--step", "0.5")
+        assert code == 0
+        assert report["inputs"] == {"tau": "pelin6", "half_width": 20.0, "step": 0.5,
+                                    "ratio_to": "lump2"}
+        assert (report["results"]["id"], report["results"]["reference_id"]) == (
+            "pelin6-bnew", "lump2-bnew")
+        code, report, _ = run(capsys, "energy", "--tau", "lump2",
+                              "--half-width", "20", "--step", "0.5")
+        assert code == 0
+        assert report["results"]["reference_id"] is None
 
     def test_timing_is_monotonic_clock(self, capsys, monkeypatch):
         def wall_clock():
@@ -733,8 +766,21 @@ class TestReport:
         assert code == 0
         assert report["timing_seconds"] >= 0
 
+    #: the options each run below parses, as every report echoes them
+    PARSED = {
+        "verify": {"tau": "yang6", "form": None, "param": ["a=1", "b=1/2"]},
+        "scan-jn": {"max_n": 30, "routes": "J,sigma", "out": None},
+        "certify": {"n": 15},
+        "cm-check": {"tau": "lump2", "y": "0,1/2,1,2"},
+        "lax-table": {},
+        "lax-probe": {"point": "k1+"},
+        "energy": {"tau": "lump2-bnew", "half_width": 60.0, "step": 0.1,
+                   "ratio_to": None},
+        "degree": {"k": 3},
+    }
+
     @pytest.mark.parametrize("argv, exact", [
-        (["verify", "--tau", "lump2"], True),
+        (["verify", "--tau", "yang6", "--param", "a=1", "--param", "b=1/2"], True),
         (["scan-jn", "--max-n", "30"], True),
         (["certify", "--n", "15"], True),
         (["cm-check", "--tau", "lump2"], False),
@@ -745,7 +791,8 @@ class TestReport:
     ], ids=lambda v: v[0] if isinstance(v, list) else None)
     def test_every_subcommand_reports_once(self, argv, exact):
         # a fresh interpreter per subcommand: exit 0, one JSON document with
-        # the report keys in order, the command's own exact flag, quiet stderr
+        # the report keys in order, the parsed options as inputs, the
+        # command's own exact flag, quiet stderr
         proc = fresh_python(
             "-c", "import sys; from lumps.cli import main; sys.exit(main(sys.argv[1:]))",
             *argv)
@@ -753,6 +800,7 @@ class TestReport:
         report = json.loads(proc.stdout)
         assert list(report) == ["command", "inputs", "results", "timing_seconds", "exact"]
         assert report["command"] == argv[0]
+        assert report["inputs"] == self.PARSED[argv[0]]
         assert report["exact"] is exact
         assert proc.stderr == ""
 
@@ -770,8 +818,8 @@ def rational_site(site, value, tmp_path):
                    "--param", "b=0"], "--param a: bad rational"),
         "y": (["cm-check", "--tau", "lump2", "--y", f"1,{value}"],
               "--y expects a comma list of rationals"),
-        "weight": (["verify", "--tau", "pelin6", "--custom-form",
-                    json.dumps([[value, 4, 0]])], "malformed --custom-form"),
+        "weight": (["verify", "--tau", "pelin6", "--form",
+                    json.dumps([[value, 4, 0]])], "malformed --form"),
     }[site]
 
 
@@ -805,9 +853,9 @@ class TestOutsideRationals:
         assert code in (0, 1)
         ten = "1" + "0" * 4300
         if site == "param":
-            assert report["inputs"]["params"]["a"] == ten
+            assert report["results"]["params"]["a"] == ten
         if site == "y":
-            assert report["inputs"]["y"] == ["1", ten]
+            assert [row["y"] for row in report["results"]["rows"]] == ["1", ten]
 
     def test_report_prints_values_past_the_digit_limit(self, capsys, tmp_path):
         # an accepted 8,600-digit coefficient: its residual once escaped as a

@@ -4,12 +4,12 @@ For every subcommand, ``lumps`` must exit 0, 1 or 2; nothing but argparse's
 SystemExit(2) may escape ``cli.main``; and stdout is exactly one strict-JSON
 report (no NaN or Infinity), or empty with exit 2.  Sizes stay cheap:
 ``--max-n`` <= 20, ``--n`` <= 30, energy windows of at most 20 cells per
-side (or far beyond the cap, which is refused), a custom-form order of
+side (or far beyond the cap, which is refused), a ``--form`` order of
 10^6, which is zero on every pair of a catalog tau, and decimal exponents
 far past 4300, which are refused before any integer is built.  The grammar
-also draws removed options (``--tol``, ``--x``, ``--jobs``), which argparse
-must refuse; two more tests keep it covering every option and subcommand
-that ``build_parser()`` defines.
+also draws removed options (``--custom-form``, ``--tol``, ``--x``,
+``--jobs``), which argparse must refuse; two more tests keep it covering
+every option and subcommand that ``build_parser()`` defines.
 """
 
 import argparse
@@ -81,19 +81,21 @@ def concat(*parts):
 def grammar(command, paths):
     taus = IDS + paths["tau"]
     if command == "verify":
+        # presets, then JSON forms: --custom-form, however valid, is refused
         forms = ["standard", "even-section", "yang", "yang-elliptic", "bnew",
-                 "nope", ""]
-        customs = ['[["1",4,0],["-1",2,0],["-1",0,2]]', '[["1",4,0]]', "[]",
-                   "{}", '["140"]', '[["x",4,0]]', "[[1,1,0]]", "[[1,-2,0]]",
-                   "[[0,2,0]]", "[[1,2]]", "not json", '[["1/0",2,0]]',
-                   "[[1,1e400,0]]", "[[NaN,2,0]]", '[["1",1000000,0]]',
-                   '[["1",4.5,0]]', '[["1","4",0]]', "[[1,true,true]]",
-                   '[["1e10000000",4,0]]']
+                 "nope", "",
+                 '[["1",4,0],["-1",2,0],["-1",0,2]]', '[["1",4,0]]', "[]",
+                 "{}", '["140"]', '[["x",4,0]]', "[[1,1,0]]", "[[1,-2,0]]",
+                 "[[0,2,0]]", "[[1,2]]", "not json", '[["1/0",2,0]]',
+                 "[[1,1e400,0]]", "[[NaN,2,0]]", '[["1",1000000,0]]',
+                 '[["1",4.5,0]]', '[["1","4",0]]', "[[1,true,true]]",
+                 '[["1e10000000",4,0]]']
         params = st.lists(st.sampled_from(
             [f"a={r}" for r in RATIONALS] + [f"b={r}" for r in RATIONALS]
             + ["c=1", "a", "=1"]), max_size=3)
         return concat(st.just(["verify"]), option("--tau", taus),
-                      option("--form", forms), option("--custom-form", customs),
+                      option("--form", forms),
+                      option("--custom-form", ['[["1",4,0],["-1",2,0],["-1",0,2]]']),
                       params.map(lambda ps: [f"--param={p}" for p in ps]))
     if command == "scan-jn":
         routes = ["J,sigma", "J", "sigma", "gamma", "J,gamma", "sigma,gamma",

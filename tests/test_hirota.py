@@ -1,15 +1,10 @@
-import os
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-import lumps
-from conftest import exact_polys, random_poly, wide_polys, wide_rationals
+from conftest import exact_polys, fresh_python, random_poly, wide_polys, wide_rationals
 from lumps.hirota import (
     BNEW, EVEN_SECTION, STANDARD, YANG, YANG_ELLIPTIC, BilinearForm, custom_form,
     PRESETS, hirota_axis_coeff, hirota_d, hirota_dx4_zz_coeff,
@@ -277,12 +272,7 @@ class TestBilinearForm:
         code = ("import sys; from lumps import hirota; "
                 "print(hirota.PRESETS['yang-elliptic'].name, "
                 "'lumps.catalog' in sys.modules)")
-        src = str(Path(lumps.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p)
-        out = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True, timeout=60)
+        out = fresh_python("-c", code, timeout=60)
         assert out.returncode == 0, out.stderr
         assert out.stdout.split() == ["yang-elliptic", "False"]
 
