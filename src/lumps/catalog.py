@@ -127,9 +127,13 @@ MAX_ENERGY_CELLS = 10**6
 ENERGY_TILE = 4096
 
 #: fewest grid rows in an ``energy`` band: on 2 vCPUs a forked worker cost
-#: more than it saved at m = 1500 rows (60 -> 65-74 ms per record) and won
-#: at m = 2000 (88 -> 54-61 ms)
+#: more than it saved at m = 1500 rows (19-20 -> 23-25 ms for pelin6-bnew)
+#: and won at m = 2000 in two sessions of three (35-41 -> 24 ms)
 ENERGY_MIN_BAND_ROWS = 1000
+
+#: grid rows per numpy call in ``energy``: a block of four rows makes about
+#: as many calls as one row did
+ENERGY_BLOCK_ROWS = 4
 
 
 def energy(rec: TauRecord, half_width: float = 200.0, step: float = 0.05
@@ -161,29 +165,30 @@ def energy(rec: TauRecord, half_width: float = 200.0, step: float = 0.05
     is x times an even polynomial and NV is xy times one.  Each is divided
     by that monomial and stored as a float table in X = x^2, Y = y^2: the
     even parts (tau, N2) in one table and the odd parts (N3, NV) in
-    another, each as wide as its own highest X power.  A grid row is then
-    (Y powers) @ table per parity, followed by one matrix product per
-    parity: the even parts against the X powers and the odd parts against
-    x times the X powers, which restores their x factor (the y factor of
-    NV joins the row sum as y^2).  Per node the row then takes seven
-    elementwise passes, s = 1/tau, u = s^2, qh = N2 u, qh_x = N3 u s (two),
-    vh = NV u and w = qh^2, and four dot products: sum qh_x^2, sum w qh,
-    sum qh^2 and sum vh^2.  (One broadcast call for (N3, NV) u would make
-    six passes, but measured slower than the two row calls.)
+    another, part-major and each as wide as its own highest X power.  The
+    rows go in blocks of ENERGY_BLOCK_ROWS, each numpy call serving a
+    whole block: (Y powers) @ table per parity, then one matrix product
+    per parity, the even parts against the X powers and the odd parts
+    against x times the X powers, which restores their x factor (the y
+    factor of NV joins the row sum as y^2).  Per node the block then takes
+    seven elementwise passes, s = 1/tau, u = s^2 (over tau), qh = N2 u,
+    qh_x = N3 u s (two), vh = NV u and w = qh^2 (over s), and two
+    ``np.vecdot`` calls give each row's sums of qh^2, qh_x^2, vh^2, w qh.
+    (One broadcast call for (N2, N3, NV) u measured no faster.)
 
     The numerators reach degree 3d - 3 for a tau of degree d, so a node
     overflows once |x| or |y| nears 10^(308/(3d-3)) (about 2e9 for d = 12);
     such a window raises the ArithmeticError below.
 
-    The m rows of the quadrant are cut into contiguous bands, one per
-    usable CPU (``os.sched_getaffinity``), with at least
+    The m rows of the quadrant are cut into contiguous bands of whole
+    blocks, one per usable CPU (``os.sched_getaffinity``), with at least
     ENERGY_MIN_BAND_ROWS rows per band and a single band where the
     platform has no ``os.fork``.  The caller computes the first band and
     forked workers the others; each band writes one integrand sum per row
     into an anonymous shared mmap (see ``_in_bands`` for the workers'
     lifecycle).  Two threads measured slower than one: the loop is a chain
-    of short numpy calls.  A row is evaluated in column tiles of at most
-    ENERGY_TILE nodes, with in-place ufuncs in a few tile-sized buffers
+    of short numpy calls.  A block is evaluated in column tiles of at most
+    ENERGY_TILE nodes, with in-place ufuncs in five tile-sized buffers
     allocated once per band; the tiles keep each numpy call below the size
     at which OpenBLAS starts threads of its own, which would compete with
     the workers for the same CPUs.  The total is 4 h^2 times the exactly
@@ -225,17 +230,20 @@ def energy(rec: TauRecord, half_width: float = 200.0, step: float = 0.05
     tables = []
     for parts in parities:
         nx = max(p.degree_in(0) for p in parts) // 2 + 1
-        table = np.zeros((ny, len(parts), nx))
+        table = np.zeros((len(parts), ny, nx))
         for k, p in enumerate(parts):
             den, num = p.numerators()
             for (i, j), (r, _) in num.items():
-                table[j // 2, k, i // 2] = r / den
-        tables.append(table.reshape(ny, -1))
+                table[k, j // 2, i // 2] = r / den
+        tables.append(table)
 
     xs = (np.arange(m) + 0.5) * step
     row_sums = np.frombuffer(mmap.mmap(-1, 8 * m))  # shared with the workers
-    _in_bands(lambda lo, hi: _energy_rows(tables, xs, lo, hi, row_sums),
-              m, _workers(m))
+    # bands are cut on blocks of rows, so that every block holds the same
+    # rows, and has the same bits, for any number of workers
+    b = ENERGY_BLOCK_ROWS
+    _in_bands(lambda lo, hi: _energy_rows(tables, xs, lo * b, min(hi * b, m),
+                                          row_sums), -(-m // b), _workers(m))
     total = math.inf
     if np.isfinite(row_sums).all():  # fsum raises ValueError on inf - inf
         with contextlib.suppress(OverflowError):
@@ -262,43 +270,48 @@ def _energy_rows(tables: List[np.ndarray], xs: np.ndarray, lo: int, hi: int,
                  out: np.ndarray) -> None:
     """The integrand sums of quadrant rows lo..hi-1 of ``energy``, into out."""
     even, odd = tables
-    nxe, nxo = even.shape[1] // 2, odd.shape[1] // 2
-    width = min(ENERGY_TILE, len(xs))
-    ev_buf, od_buf, scratch = (np.empty((k, width)) for k in (2, 2, 3))
+    nxe, nxo = even.shape[2], odd.shape[2]
+    rows, width = ENERGY_BLOCK_ROWS, min(ENERGY_TILE, len(xs))
+    flat, s_buf = np.empty(4 * rows * width), np.empty(rows * width)
+    # per row: sum qh^2, sum qh_x^2, sum (vh/y)^2 and sum qh^3
+    sums = np.zeros((4, hi - lo))
     # a huge window overflows the power tables: that is the ArithmeticError
     # of ``energy``, so the tables are built inside the guard too
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        ypows = np.vander(xs[lo:hi] * xs[lo:hi], len(even), increasing=True)
+        ys = xs[lo:hi]
+        ypows = np.vander(ys * ys, even.shape[1], increasing=True)
         tiles = []
         for start in range(0, len(xs), width):
             x = xs[start:start + width]
-            n = len(x)
             # contiguous (nx, n): a transposed view makes every row product
             # strided
             xpow = np.ascontiguousarray(
                 np.vander(x * x, max(nxe, nxo), increasing=True).T)
-            ev, od, sc = ev_buf[:, :n], od_buf[:, :n], scratch[:, :n]
-            tiles.append((xpow[:nxe], xpow[:nxo] * x, ev, od, tuple(ev),
-                          tuple(od), tuple(sc)))
-        for r, ypow in zip(range(lo, hi), ypows):
-            y = xs[r]
-            ce = (ypow @ even).reshape(2, nxe)
-            co = (ypow @ odd).reshape(2, nxo)
-            row = 0.0
+            tiles.append((xpow[:nxe], xpow[:nxo] * x))
+        for r in range(0, hi - lo, rows):
+            ypow = ypows[r:r + rows]
+            b = len(ypow)
+            # (part, row, X power): x-coefficients of the block's rows
+            ce, co = np.matmul(ypow, even), np.matmul(ypow, odd)
             # the odd parts carry their x factor from xo; v lacks its y
-            for xe, xo, ev, od, (t, q), (qx, v), (s, u, w) in tiles:
-                np.matmul(ce, xe, out=ev)
-                np.matmul(co, xo, out=od)
+            for xe, xo in tiles:
+                n = xe.shape[1]
+                blk = flat[:4 * b * n].reshape(4, b, n)
+                t, q, qx, v = blk
+                s = s_buf[:b * n].reshape(b, n)
+                np.matmul(ce, xe, out=blk[0:2])
+                np.matmul(co, xo, out=blk[2:4])
                 np.divide(1.0, t, out=s)
-                np.multiply(s, s, out=u)
-                q *= u                       # qh = N2 / tau^2
-                qx *= u
+                np.multiply(s, s, out=t)     # u = 1/tau^2 replaces tau
+                q *= t                       # qh = N2 / tau^2
+                qx *= t
                 qx *= s                      # qh_x = N3 / tau^3
-                v *= u                       # vh / y
-                np.multiply(q, q, out=w)
-                row += (3.375 * (qx @ qx) + 13.5 * (w @ q) - 3.375 * (q @ q)
-                        - 2.25 * y * y * (v @ v))
-            out[r] = row
+                v *= t                       # vh / y
+                np.multiply(q, q, out=s)     # w = qh^2 replaces s
+                sums[:3, r:r + b] += np.vecdot(blk[1:], blk[1:])
+                sums[3, r:r + b] += np.vecdot(s, q)
+        sq, sqx, sv, sq3 = sums
+        out[lo:hi] = 3.375 * sqx + 13.5 * sq3 - 3.375 * sq - 2.25 * ys * ys * sv
 
 
 def _workers(rows: int) -> int:

@@ -3,6 +3,7 @@ import math
 import os
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from conftest import fresh_python
@@ -279,6 +280,65 @@ class TestEnergyBands:
             values.append(cat.energy(CAT["pelin12-corrected-bnew"], 60.0, 0.1))
         assert values[0] == values[1] == values[2]
         _no_children_left()
+
+    def test_partial_last_block(self, monkeypatch):
+        # m = 21 rows: five blocks of four rows and a last block of one
+        values = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(cat, "_workers", lambda rows, w=workers: w)
+            values.append(cat.energy(CAT["pelin12-corrected-bnew"], 5.25, 0.25))
+        assert values[0] == values[1] == values[2]
+        assert values[0] == pytest.approx(
+            energy_oracle(CAT["pelin12-corrected-bnew"].tau(), 5.25, 0.25),
+            rel=1e-12, abs=0)
+        _no_children_left()
+
+    def test_bands_are_cut_on_blocks(self, monkeypatch):
+        # with fork refused the caller computes every band itself, so each
+        # band is seen here: 6 blocks in 3 bands, not 21 rows in 3 bands
+        bands, rows = [], cat._energy_rows
+
+        def recorded(tables, xs, lo, hi, out):
+            bands.append((lo, hi))
+            rows(tables, xs, lo, hi, out)
+
+        def no_fork():
+            raise BlockingIOError("fork refused")
+
+        monkeypatch.setattr(cat, "_energy_rows", recorded)
+        monkeypatch.setattr(cat.os, "fork", no_fork)
+        monkeypatch.setattr(cat, "_workers", lambda rows: 3)
+        cat.energy(CAT["lump2-bnew"], 5.25, 0.25)
+        assert sorted(bands) == [(0, 8), (8, 16), (16, 21)]
+
+    @pytest.mark.parametrize("block_rows", [1, 3])
+    def test_other_block_sizes(self, block_rows, monkeypatch):
+        # 21 rows in blocks of 1 or 3, in two bands and column tiles of 7
+        monkeypatch.setattr(cat, "ENERGY_BLOCK_ROWS", block_rows)
+        monkeypatch.setattr(cat, "ENERGY_TILE", 7)
+        monkeypatch.setattr(cat, "_workers", lambda rows: 2)
+        assert cat.energy(CAT["pelin6-bnew"], 5.25, 0.25) == pytest.approx(
+            energy_oracle(CAT["pelin6-bnew"].tau(), 5.25, 0.25), rel=1e-12, abs=0)
+        _no_children_left()
+
+    def test_no_product_wider_than_a_tile(self, monkeypatch):
+        # R = 210, h = 0.05: 4200 columns, in a tile of ENERGY_TILE and one
+        # of 104.  A wider product lets OpenBLAS start threads of its own,
+        # which oversubscribe the CPUs that the row bands already use
+        expected = energy_oracle(CAT["lump2-bnew"].tau(), 210.0, 0.05)
+        widths, matmul = [], np.matmul
+
+        def recorded(*args, **kwargs):
+            product = matmul(*args, **kwargs)
+            widths.append(product.shape[-1])
+            return product
+
+        monkeypatch.setattr(cat, "_workers", lambda rows: 1)
+        monkeypatch.setattr(np, "matmul", recorded)
+        value = cat.energy(CAT["lump2-bnew"], 210.0, 0.05)
+        assert max(widths) == cat.ENERGY_TILE
+        assert 4200 - cat.ENERGY_TILE in widths
+        assert value == pytest.approx(expected, rel=1e-12, abs=0)
 
     def test_worker_count(self):
         # one band per CPU, but no band below ENERGY_MIN_BAND_ROWS rows

@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "lumps"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "lumps"
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "lumps"}
 
 
@@ -33,3 +34,10 @@ def test_scan_sees_every_import_form():
 def test_src_imports_only_stdlib_and_numpy(path):
     outside = sorted(set(imported_roots(path.read_text())) - ALLOWED)
     assert outside == [], f"{path.name} imports {outside}"
+
+
+def test_numpy_is_the_one_dependency_from_2_0():
+    # catalog.energy sums its rows with np.vecdot, which numpy 2.0 added
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert project["dependencies"] == ["numpy>=2.0"]
