@@ -28,9 +28,10 @@ costs no more than a dense one with as many terms.  They are filled from a
 process-wide ``lru_cache`` on ``hirota_axis_coeff``: residuals of different
 polynomials in one process ask for the same (order, u, v) again and again.
 
-A BilinearForm is a weighted list of such operators.  Its ``pairing(f, g)``
-applies them to f.g; its residual applies them to tau.tau, the exact
-polynomial whose vanishing says tau solves the corresponding bilinear PDE.
+``hirota_d`` is one operator D1^a D2^b in either basis.  A BilinearForm is
+a name and rational weights on Dx^a Dy^b, acting on (x, y) polynomials.  Its
+``pairing(f, g)`` applies them to f.g; its residual applies them to tau.tau,
+the exact polynomial whose vanishing says tau solves the bilinear PDE.
 Every form has even total order, so the pair coefficient is symmetric: the
 residual sums unordered pairs of tau terms, doubling the off-diagonal ones,
 and residual(f + g) = residual(f) + 2 pairing(f, g) + residual(g).  The
@@ -46,7 +47,7 @@ from functools import lru_cache
 from math import comb
 from typing import Sequence, Tuple
 
-from .polyring import ONE, Basis, ExactPoly, QQi, _reduced, _scaled, parse_rational
+from .polyring import Basis, ExactPoly, Rat, _reduced, _scaled, parse_rational
 
 
 def _bilinear(terms, f: ExactPoly, g: ExactPoly, symmetric: bool) -> ExactPoly:
@@ -54,7 +55,7 @@ def _bilinear(terms, f: ExactPoly, g: ExactPoly, symmetric: bool) -> ExactPoly:
 
     One pass over term pairs: pair (i1, j1).(i2, j2) adds
     A(a, i1, i2) A(b, j1, j2) c1 c2 to monomial (i1+i2-a, j1+j2-b) of the
-    accumulator of each order; the weights are applied once at the end.
+    accumulator of each order; the rational weights are applied at the end.
     The axis coefficients are read from rows: for each distinct order and
     distinct exponent u of f on that axis, the list of A(order, u, v) over
     the distinct exponents v of g on the same axis, so a pair costs two list
@@ -116,12 +117,12 @@ def _bilinear(terms, f: ExactPoly, g: ExactPoly, symmetric: bool) -> ExactPoly:
 
     den_w, weights = _scaled(w for w, _, _ in terms)
     re, im = {}, {}
-    for (wr, wm), (acc_re, acc_im) in zip(weights, accs):
+    for (w, _), (acc_re, acc_im) in zip(weights, accs):
         for key, r in acc_re.items():
-            m = acc_im.get(key, 0)
-            re[key] = re.get(key, 0) + wr * r - wm * m
-            im[key] = im.get(key, 0) + wr * m + wm * r
-    return _reduced({divmod(key, W): (r, im[key]) for key, r in re.items()},
+            re[key] = re.get(key, 0) + w * r
+        for key, m in acc_im.items():
+            im[key] = im.get(key, 0) + w * m
+    return _reduced({divmod(key, W): (r, im.get(key, 0)) for key, r in re.items()},
                     den_f * den_g * den_w, f.basis)
 
 
@@ -130,7 +131,7 @@ def hirota_d(a: int, b: int, f: ExactPoly, g: ExactPoly) -> ExactPoly:
     if a < 0 or b < 0:
         raise ValueError("Hirota orders must be >= 0")
     f._require_same_basis(g, "apply a Hirota operator to")
-    return _bilinear(((ONE, a, b),), f, g, symmetric=False)
+    return _bilinear(((1, a, b),), f, g, symmetric=False)
 
 
 def falling(a: int, s: int) -> int:
@@ -180,51 +181,45 @@ def hirota_dx4_zz_coeff(b: int, d: int) -> int:
 
 @dataclass(frozen=True)
 class BilinearForm:
-    """Weighted combination sum_k w_k D1^{a_k} D2^{b_k} acting on tau.tau."""
+    """sum_k w_k Dx^{a_k} Dy^{b_k} on (x, y) polynomials, each weight w_k a
+    nonzero int or Fraction and each total order a_k + b_k even."""
 
     name: str
-    terms: Tuple[Tuple[QQi, int, int], ...]
-    basis: Basis = Basis.XY
+    terms: Tuple[Tuple[Rat, int, int], ...]
 
     def __post_init__(self):
-        normalized = []
         for w, a, b in self.terms:
             if type(a) is not int or type(b) is not int or a < 0 or b < 0:
                 raise ValueError(f"form {self.name!r}: Hirota orders must be "
                                  f"integers >= 0, got {a!r}, {b!r}")
-            wq = QQi.of(w)
-            if wq.is_zero():
+            if type(w) not in (int, Fraction):
+                raise TypeError(f"form {self.name!r}: weight {w!r} is not rational")
+            if not w:
                 raise ValueError(f"form {self.name!r}: zero weight on D^{a} D^{b}")
             if (a + b) % 2:
                 raise ValueError(
                     f"form {self.name!r}: odd total order {a}+{b}; odd-order "
                     "Hirota operators annihilate tau.tau")
-            normalized.append((wq, a, b))
-        object.__setattr__(self, "terms", tuple(normalized))
 
-    def _require_basis(self, *polys: ExactPoly) -> None:
+    def _require_xy(self, *polys: ExactPoly) -> None:
         for p in polys:
-            if p.basis is not self.basis:
-                p._require_same_basis(
-                    ExactPoly.zero(self.basis), "evaluate a bilinear form on")
+            if p.basis is not Basis.XY:
+                p._require_same_basis(ExactPoly.zero(), "evaluate a bilinear form on")
 
     def residual(self, tau: ExactPoly) -> ExactPoly:
-        """sum w_k D1^{a_k} D2^{b_k} tau.tau; empty means tau solves the form."""
-        self._require_basis(tau)
+        """sum w_k Dx^{a_k} Dy^{b_k} tau.tau; empty means tau solves the form."""
+        self._require_xy(tau)
         return _bilinear(self.terms, tau, tau, symmetric=True)
 
     def pairing(self, f: ExactPoly, g: ExactPoly) -> ExactPoly:
-        """sum w_k D1^{a_k} D2^{b_k} f.g; symmetric in f and g, and
+        """sum w_k Dx^{a_k} Dy^{b_k} f.g; symmetric in f and g, and
         residual(f + g) = residual(f) + 2 pairing(f, g) + residual(g)."""
-        self._require_basis(f, g)
+        self._require_xy(f, g)
         return _bilinear(self.terms, f, g, symmetric=False)
 
 
 #: Dx^4 - Dx^2 - Dy^2: bilinear Boussinesq with u = 2 dxx log tau.
 STANDARD = BilinearForm("standard", ((1, 4, 0), (-1, 2, 0), (-1, 0, 2)))
-
-#: Dx^2 + Dy^2 - Dx^4: the even-solution section (standard negated).
-EVEN_SECTION = BilinearForm("even-section", ((1, 2, 0), (1, 0, 2), (-1, 4, 0)))
 
 #: Dx^4 - 3 Dx^2 + 3 Dy^2: scaling used by the degree-6 two-parameter family.
 YANG = BilinearForm("yang", ((1, 4, 0), (-3, 2, 0), (3, 0, 2)))
@@ -236,12 +231,12 @@ BNEW = BilinearForm("bnew", ((3, 4, 0), (-3, 2, 0), (-1, 0, 2)))
 #: Dx^4 - 3 Dx^2 - 3 Dy^2: the form the printed degree-6 family satisfies.
 YANG_ELLIPTIC = BilinearForm("yang-elliptic", ((1, 4, 0), (-3, 2, 0), (-3, 0, 2)))
 
-PRESETS = {f.name: f for f in (STANDARD, EVEN_SECTION, YANG, YANG_ELLIPTIC, BNEW)}
+PRESETS = {f.name: f for f in (STANDARD, YANG, YANG_ELLIPTIC, BNEW)}
 
 
 def custom_form(spec: Sequence) -> BilinearForm:
-    """Build a form from a non-empty list of (weight, a, b) triples; weights
-    read by ``parse_rational``.  An empty form would be solved by every tau."""
+    """Build a form on (x, y) from a non-empty list of (weight, a, b) triples;
+    rational weights read by ``parse_rational``.  An empty form is refused."""
     if not (isinstance(spec, (list, tuple)) and spec and all(
             isinstance(t, (list, tuple)) and len(t) == 3 for t in spec)):
         raise ValueError("a custom form is a non-empty list of [weight, a, b] triples")

@@ -322,10 +322,12 @@ class TestEnergyBands:
         _no_children_left()
 
     def test_no_product_wider_than_a_tile(self, monkeypatch):
-        # R = 210, h = 0.05: 4200 columns, in a tile of ENERGY_TILE and one
-        # of 104.  A wider product lets OpenBLAS start threads of its own,
-        # which oversubscribe the CPUs that the row bands already use
-        expected = energy_oracle(CAT["lump2-bnew"].tau(), 210.0, 0.05)
+        # the shipped cap: a wider product lets OpenBLAS start threads of its
+        # own, which oversubscribe the CPUs that the row bands already use
+        assert cat.ENERGY_TILE == 4096
+        # R = 5, h = 0.05: 100 columns, in a tile of 64 and one of 36
+        monkeypatch.setattr(cat, "ENERGY_TILE", 64)
+        expected = energy_oracle(CAT["lump2-bnew"].tau(), 5.0, 0.05)
         widths, matmul = [], np.matmul
 
         def recorded(*args, **kwargs):
@@ -335,9 +337,9 @@ class TestEnergyBands:
 
         monkeypatch.setattr(cat, "_workers", lambda rows: 1)
         monkeypatch.setattr(np, "matmul", recorded)
-        value = cat.energy(CAT["lump2-bnew"], 210.0, 0.05)
+        value = cat.energy(CAT["lump2-bnew"], 5.0, 0.05)
         assert max(widths) == cat.ENERGY_TILE
-        assert 4200 - cat.ENERGY_TILE in widths
+        assert 100 - cat.ENERGY_TILE in widths
         assert value == pytest.approx(expected, rel=1e-12, abs=0)
 
     def test_worker_count(self):

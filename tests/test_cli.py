@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import shlex
 import sys
 import time
@@ -109,13 +110,28 @@ class TestVerify:
             assert out.out == ""
             assert "unrecognized arguments: --custom-form" in out.err
 
-    @pytest.mark.parametrize("form", ["nope", ""])
+    @pytest.mark.parametrize("form", ["nope", "", "even-section"])
     def test_unknown_preset_names_the_presets(self, capsys, form):
+        # even-section, the negated standard form, is no longer a preset
         code, report, err = run(capsys, "verify", "--tau", "lump2", "--form", form)
         assert code == 2
         assert report is None
         assert err.startswith("error: malformed --form: neither a preset ['bnew', "
-                              "'even-section', 'standard', 'yang', 'yang-elliptic']")
+                              "'standard', 'yang', 'yang-elliptic']")
+
+    @pytest.mark.parametrize("tau", ["pelin6", "pelin12"])
+    def test_negated_standard_as_json(self, capsys, tau):
+        # the same verdict and term count as standard, every term negated
+        negated = '[["-1",4,0],["1",2,0],["1",0,2]]'
+        code, report, _ = run(capsys, "verify", "--tau", tau, "--form", negated)
+        want_code, want, _ = run(capsys, "verify", "--tau", tau, "--form", "standard")
+        got, want = report["results"], want["results"]
+        assert (code, got["is_solution"]) == (want_code, want["is_solution"])
+        assert got["residual_term_count"] == want["residual_term_count"]
+        assert [t[:2] for t in got["residual_terms"]] == \
+            [t[:2] for t in want["residual_terms"]]
+        assert [Fraction(t[2]) for t in got["residual_terms"]] == \
+            [-Fraction(t[2]) for t in want["residual_terms"]]
 
     @pytest.mark.parametrize("argv, preset", [
         (["--tau", "pelin6"], "standard"),
@@ -908,6 +924,13 @@ class TestReadme:
     def test_command_line_block_runs(self, capsys, monkeypatch, tmp_path):
         self.run_lines(capsys, monkeypatch, tmp_path,
                        readme_lumps_lines("Command line"))
+
+    def test_form_paragraph_names_the_presets(self):
+        # the `verify --form` paragraph lists exactly the presets of hirota
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        paragraph = readme.split("`verify --form` takes a preset", 1)[1]
+        names = re.findall(r"`([^`]+)`", paragraph.split("or a JSON form", 1)[0])
+        assert sorted(names) == sorted(cli.PRESETS)
 
     def test_experiment_block_runs(self, capsys, monkeypatch, tmp_path):
         # a line that repeats a "Command line" invocation is run by the test

@@ -81,9 +81,10 @@ def concat(*parts):
 def grammar(command, paths):
     taus = IDS + paths["tau"]
     if command == "verify":
-        # presets, then JSON forms: --custom-form, however valid, is refused
-        forms = ["standard", "even-section", "yang", "yang-elliptic", "bnew",
-                 "nope", "",
+        # presets, the removed preset even-section and unknown names, then
+        # JSON forms: --custom-form, however valid, is refused
+        forms = ["standard", "yang", "yang-elliptic", "bnew",
+                 "even-section", "nope", "",
                  '[["1",4,0],["-1",2,0],["-1",0,2]]', '[["1",4,0]]', "[]",
                  "{}", '["140"]', '[["x",4,0]]', "[[1,1,0]]", "[[1,-2,0]]",
                  "[[0,2,0]]", "[[1,2]]", "not json", '[["1/0",2,0]]',

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import exact_polys, fresh_python, random_poly, wide_polys, wide_rationals
 from lumps.hirota import (
-    BNEW, EVEN_SECTION, STANDARD, YANG, YANG_ELLIPTIC, BilinearForm, custom_form,
+    BNEW, STANDARD, YANG, YANG_ELLIPTIC, BilinearForm, custom_form,
     PRESETS, hirota_axis_coeff, hirota_d, hirota_dx4_zz_coeff,
     hirota_monomial_zz)
 from lumps.polyring import Basis, BasisMismatchError, ExactPoly, QQi, \
@@ -46,27 +47,25 @@ class TestHirotaD:
             hirota_d(-1, 0, poly_xy({}), poly_xy({}))
 
 
-#: four (re, im) weights with nonzero imaginary parts, for ``complex_form``
-complex_weights = st.lists(st.tuples(wide_rationals, wide_rationals.filter(bool)),
-                           min_size=4, max_size=4)
+#: four nonzero rational weights, for ``weighted_form``
+form_weights = st.lists(wide_rationals.filter(bool), min_size=4, max_size=4)
 
 
-#: the orders of ``complex_form``, all of even total
-COMPLEX_ORDERS = ((4, 0), (1, 1), (0, 2), (3, 1))
+#: the orders of ``weighted_form``, all of even total
+FORM_ORDERS = ((4, 0), (1, 1), (0, 2), (3, 1))
 
 
-def complex_form(basis, weights):
-    """The orders COMPLEX_ORDERS, one complex weight (re, im) each."""
-    return BilinearForm("complex", tuple(
-        (QQi(re, im), a, b)
-        for (re, im), (a, b) in zip(weights, COMPLEX_ORDERS)), basis)
+def weighted_form(weights):
+    """The orders FORM_ORDERS, one rational weight each."""
+    return BilinearForm("weighted", tuple(
+        (w, a, b) for w, (a, b) in zip(weights, FORM_ORDERS)))
 
 
 def oracle_pairing(weights, f, g):
-    """sum_k w_k D^{COMPLEX_ORDERS[k]} f.g by the shift-variable oracle."""
+    """sum_k w_k D^{FORM_ORDERS[k]} f.g by the shift-variable oracle."""
     expected = ExactPoly.zero(f.basis)
-    for (re, im), (a, b) in zip(weights, COMPLEX_ORDERS):
-        expected = expected + hirota_oracle(a, b, f, g).scale(QQi(re, im))
+    for w, (a, b) in zip(weights, FORM_ORDERS):
+        expected = expected + hirota_oracle(a, b, f, g).scale(w)
     return expected
 
 
@@ -92,7 +91,7 @@ class TestOracleAgreement:
 
 class TestKernelAgainstOracle:
     """The term-pair kernel on inputs the random oracle runs above avoid:
-    wide Gaussian coefficients, odd orders, f != g and complex weights."""
+    wide Gaussian coefficients, odd orders, f != g and rational weights."""
 
     @settings(max_examples=40, deadline=None)
     @given(wide_polys(max_degree=3, max_terms=3),
@@ -114,12 +113,9 @@ class TestKernelAgainstOracle:
         assert hirota_d(a, b, f, f).is_zero()
 
     @settings(max_examples=30, deadline=None)
-    @given(wide_polys(max_degree=4, max_terms=4),
-           complex_weights, st.sampled_from(list(Basis)))
-    def test_custom_form_complex_weights(self, tau, weights, basis):
-        tau = ExactPoly(tau.terms, basis)
-        form = complex_form(basis, weights)
-        assert form.residual(tau) == oracle_pairing(weights, tau, tau)
+    @given(wide_polys(max_degree=4, max_terms=4), form_weights)
+    def test_form_rational_weights(self, tau, weights):
+        assert weighted_form(weights).residual(tau) == oracle_pairing(weights, tau, tau)
 
 
 class TestProperties:
@@ -245,25 +241,46 @@ class TestBilinearForm:
 
     def test_odd_total_order_rejected(self):
         with pytest.raises(ValueError, match="odd total order"):
-            BilinearForm("bad", ((QQi.of(1), 1, 2),))
+            BilinearForm("bad", ((1, 1, 2),))
+
+    @pytest.mark.parametrize("w", [1.5, True, "1", QQi.of(1)])
+    def test_weights_are_rational(self, w):
+        # an int (not a bool) or a Fraction; a Gaussian weight is refused
+        with pytest.raises(TypeError, match="form 'bad': weight"):
+            BilinearForm("bad", ((w, 2, 0),))
 
     def test_zero_weight_rejected(self):
-        with pytest.raises(ValueError, match="zero weight"):
-            BilinearForm("bad", ((QQi.of(0), 2, 0),))
+        for w in (0, Fraction(0)):
+            with pytest.raises(ValueError, match="zero weight"):
+                BilinearForm("bad", ((w, 2, 0),))
+
+    def test_custom_form_reads_rationals(self):
+        form = custom_form([["3/2", 4, 0], ["-1", 2, 0], [2, 0, 2]])
+        assert form.terms == ((Fraction(3, 2), 4, 0), (-1, 2, 0), (2, 0, 2))
+        assert all(type(w) is Fraction for w, _, _ in form.terms)
+
+    def test_forms_act_on_xy_only(self):
+        # a form has a name and terms and no basis: (z, zbar) is refused
+        assert [f.name for f in dataclasses.fields(BilinearForm)] == ["name", "terms"]
+        zz = poly_zz({(1, 1): 1, (0, 0): 3})
+        for form in (*PRESETS.values(), custom_form([["1", 1, 1]])):
+            with pytest.raises(BasisMismatchError):
+                form.residual(zz)
+            with pytest.raises(BasisMismatchError):
+                form.pairing(zz, zz)
 
     @pytest.mark.parametrize("a, b", [(4.5, 0), ("4", 0), (True, True), (-2, 0),
                                       (2, 2.0)])
     def test_orders_are_nonnegative_ints(self, a, b):
         # int() would truncate 4.5 and read "4" as 4 and true as 1
         with pytest.raises(ValueError, match="integers >= 0"):
-            BilinearForm("bad", ((QQi.of(1), a, b),))
+            BilinearForm("bad", ((1, a, b),))
         with pytest.raises(ValueError, match="integers >= 0"):
             custom_form([["1", a, b]])
 
     def test_presets(self):
-        forms = (STANDARD, EVEN_SECTION, YANG, BNEW, YANG_ELLIPTIC)
-        assert set(PRESETS) == {"standard", "even-section", "yang", "bnew",
-                                "yang-elliptic"}
+        forms = (STANDARD, YANG, BNEW, YANG_ELLIPTIC)
+        assert set(PRESETS) == {"standard", "yang", "bnew", "yang-elliptic"}
         assert all(PRESETS[f.name] is f for f in forms)
         assert "nope" not in PRESETS
 
@@ -276,22 +293,15 @@ class TestBilinearForm:
         assert out.returncode == 0, out.stderr
         assert out.stdout.split() == ["yang-elliptic", "False"]
 
-    def test_even_section_is_negated_standard(self, rng):
-        for _ in range(5):
-            tau = random_poly(rng, max_degree=4)
-            assert EVEN_SECTION.residual(tau) == -STANDARD.residual(tau)
-
 
 class TestPairing:
     """B(f, g) = sum w_k D1^{a_k} D2^{b_k} f.g of two different polynomials."""
 
     @settings(max_examples=30, deadline=None)
     @given(wide_polys(max_degree=4, max_terms=4),
-           wide_polys(max_degree=4, max_terms=4),
-           complex_weights, st.sampled_from(list(Basis)))
-    def test_identities(self, f, g, weights, basis):
-        f, g = ExactPoly(f.terms, basis), ExactPoly(g.terms, basis)
-        form = complex_form(basis, weights)
+           wide_polys(max_degree=4, max_terms=4), form_weights)
+    def test_identities(self, f, g, weights):
+        form = weighted_form(weights)
         pair = form.pairing(f, g)
         assert form.pairing(f, f) == form.residual(f)
         assert pair == form.pairing(g, f)
@@ -300,12 +310,9 @@ class TestPairing:
 
     @settings(max_examples=30, deadline=None)
     @given(wide_polys(max_degree=3, max_terms=3),
-           wide_polys(max_degree=3, max_terms=3),
-           complex_weights, st.sampled_from(list(Basis)))
-    def test_against_oracle(self, f, g, weights, basis):
-        f, g = ExactPoly(f.terms, basis), ExactPoly(g.terms, basis)
-        form = complex_form(basis, weights)
-        assert form.pairing(f, g) == oracle_pairing(weights, f, g)
+           wide_polys(max_degree=3, max_terms=3), form_weights)
+    def test_against_oracle(self, f, g, weights):
+        assert weighted_form(weights).pairing(f, g) == oracle_pairing(weights, f, g)
 
     def test_basis_mismatch(self):
         xy, zz = poly_xy({(1, 0): 1}), poly_zz({(1, 0): 1})
@@ -323,31 +330,26 @@ real_polys = st.builds(
 class TestKernelLoops:
     """The kernel runs a real-coefficient loop when f and g both have real
     coefficients and the Gaussian loop otherwise, on packed monomial keys
-    i*W + j with W above every y-exponent sum; each against the oracle."""
+    i*W + j with W above every y-exponent sum; each against the oracle.
+    Forms act on (x, y); ``hirota_d`` runs in the drawn basis."""
 
     @settings(max_examples=30, deadline=None)
-    @given(real_polys, complex_weights, st.sampled_from(list(Basis)))
-    def test_real_symmetric(self, tau, weights, basis):
-        tau = ExactPoly(tau.terms, basis)
-        assert complex_form(basis, weights).residual(tau) == \
-            oracle_pairing(weights, tau, tau)
+    @given(real_polys, form_weights)
+    def test_real_symmetric(self, tau, weights):
+        assert weighted_form(weights).residual(tau) == oracle_pairing(weights, tau, tau)
 
     @settings(max_examples=30, deadline=None)
-    @given(real_polys, real_polys, complex_weights,
-           st.sampled_from(list(Basis)))
+    @given(real_polys, real_polys, form_weights, st.sampled_from(list(Basis)))
     def test_real_pair(self, f, g, weights, basis):
+        assert weighted_form(weights).pairing(f, g) == oracle_pairing(weights, f, g)
         f, g = ExactPoly(f.terms, basis), ExactPoly(g.terms, basis)
-        assert complex_form(basis, weights).pairing(f, g) == \
-            oracle_pairing(weights, f, g)
         assert hirota_d(3, 1, f, g) == hirota_oracle(3, 1, f, g)
 
     @settings(max_examples=30, deadline=None)
-    @given(real_polys, wide_polys(max_degree=4, max_terms=4), complex_weights,
-           st.sampled_from(list(Basis)))
-    def test_real_with_complex(self, f, g, weights, basis):
+    @given(real_polys, wide_polys(max_degree=4, max_terms=4), form_weights)
+    def test_real_with_complex(self, f, g, weights):
         # one real factor is not enough for the real loop, in either slot
-        f, g = ExactPoly(f.terms, basis), ExactPoly(g.terms, basis)
-        form = complex_form(basis, weights)
+        form = weighted_form(weights)
         assert form.pairing(f, g) == oracle_pairing(weights, f, g)
         assert form.pairing(g, f) == oracle_pairing(weights, g, f)
 
@@ -356,12 +358,20 @@ class TestKernelLoops:
         zero = ExactPoly.zero(basis)
         c = ExactPoly.constant(QQi(Fraction(3), Fraction(-2)), basis)
         f = ExactPoly({(2, 1): 5, (0, 3): QQi(Fraction(1), Fraction(1))}, basis)
-        weights = [(1, 0), (-1, 2), (Fraction(1, 3), 0), (0, 1)]
-        form = complex_form(basis, weights)
+        for p, q in ((zero, f), (f, zero), (c, c), (c, f), (f, c)):
+            assert hirota_d(0, 0, p, q) == p * q
+            for a, b in FORM_ORDERS:
+                assert hirota_d(a, b, p, q) == hirota_oracle(a, b, p, q)
+
+    def test_form_on_empty_and_constant(self):
+        zero = ExactPoly.zero()
+        c = ExactPoly.constant(QQi(Fraction(3), Fraction(-2)))
+        f = poly_xy({(2, 1): 5, (0, 3): QQi(Fraction(1), Fraction(1))})
+        weights = [1, Fraction(-1, 2), Fraction(1, 3), 7]
+        form = weighted_form(weights)
         assert form.residual(zero) == zero
         for p, q in ((zero, f), (f, zero), (c, c), (c, f), (f, c)):
             assert form.pairing(p, q) == oracle_pairing(weights, p, q)
-            assert hirota_d(0, 0, p, q) == p * q
         assert form.residual(c) == oracle_pairing(weights, c, c)
 
     @pytest.mark.parametrize("basis", list(Basis))
@@ -373,6 +383,6 @@ class TestKernelLoops:
         g = ExactPoly({(0, 2): 7, (1, 0): -3, (0, 0): 1}, basis)
         for a, b in ((0, 0), (1, 0), (2, 0), (1, 1), (0, 2)):
             assert hirota_d(a, b, f, g) == hirota_oracle(a, b, f, g)
-        weights = [(1, 0), (2, 0), (-1, 0), (1, 1)]
-        assert complex_form(basis, weights).residual(f) == \
-            oracle_pairing(weights, f, f)
+        weights = [1, 2, -1, Fraction(1, 2)]
+        f = ExactPoly(f.terms)
+        assert weighted_form(weights).residual(f) == oracle_pairing(weights, f, f)
