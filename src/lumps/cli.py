@@ -83,7 +83,7 @@ def _resolve_form(spec: str):
         return PRESETS[spec]
     try:
         return custom_form(json.loads(spec))
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, RecursionError) as exc:
         raise UsageError(f"malformed --form: neither a preset {sorted(PRESETS)} "
                          f"nor a JSON form: {exc}") from exc
 
@@ -126,7 +126,7 @@ def _load_record(spec: str):
             raise UsageError(exc.args[0]) from None
     try:
         poly = ExactPoly.loads(text)
-    except (ValueError, KeyError, TypeError, OverflowError) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
         raise UsageError(f"malformed polynomial file {spec}: {exc}") from exc
     if poly.basis is Basis.ZZBAR:
         poly = poly.to_xy()

@@ -20,9 +20,10 @@ Conversion between the two bases is the exact linear substitution
 
 and its inverse ``z = x + iy``, ``zbar = x - iy``; round trips are identities.
 
-Every operation reads and writes numerators: sums over the lcm of the two
-denominators, products and the Hirota kernel over their product, and each
-result is reduced once by ``_reduced``.
+Every ring operation reads and writes numerators: sums over the lcm of the
+two denominators, products and the Hirota kernel over their product, and
+each result is reduced once by ``_reduced``.  A conversion is a sum of ring
+products.
 """
 
 from __future__ import annotations
@@ -365,72 +366,34 @@ class ExactPoly:
         """Substitute x = (z+zbar)/2, y = (z-zbar)/(2i); exact."""
         if self.basis is not Basis.XY:
             raise BasisMismatchError("to_zzbar expects an (x,y)-polynomial")
-        # 2x -> z + zbar ; 2y -> -i z + i zbar
-        return self._substitute(((1, 0), (1, 0)), ((0, -1), (0, 1)), 2, Basis.ZZBAR)
+        half = Fraction(1, 2)
+        return self._substitute(poly_zz({(1, 0): half, (0, 1): half}),
+                                poly_zz({(1, 0): QQi(im=-half), (0, 1): QQi(im=half)}))
 
     def to_xy(self) -> "ExactPoly":
         """Substitute z = x + iy, zbar = x - iy; exact."""
         if self.basis is not Basis.ZZBAR:
             raise BasisMismatchError("to_xy expects a (z,zbar)-polynomial")
-        return self._substitute(((1, 0), (0, 1)), ((1, 0), (0, -1)), 1, Basis.XY)
+        return self._substitute(poly_xy({(1, 0): 1, (0, 1): QQi(im=Fraction(1))}),
+                                poly_xy({(1, 0): 1, (0, 1): QQi(im=Fraction(-1))}))
 
-    def _substitute(self, first: tuple, second: tuple, den: int,
-                    target: Basis) -> "ExactPoly":
-        """self with its variables replaced by the linear forms first/den and
-        second/den of the target's variables.
+    def _substitute(self, u: "ExactPoly", v: "ExactPoly") -> "ExactPoly":
+        """self with its first variable replaced by u and its second by v.
 
-        A form holds the Gaussian integers (re, im) multiplying the target's
-        two variables; its n-th power is a list indexed by the exponent of
-        the second one.  Term (i, j) contributes c first^i second^j /
-        den^(i+j), a Gaussian integer over D den^T (D the common denominator
-        of self's coefficients, T the total degree).  Terms are added in
-        sorted order and a sum that cancels is dropped, which makes the order
-        of the result's monomials deterministic.  No float result depends on
-        that order: the energy tables are filled by index and the pole
-        evaluation sums exact integers.
+        Terms are added in sorted order, which makes the order of the
+        result's monomials deterministic.  No float result depends on that
+        order: the energy tables are filled by index and the pole evaluation
+        sums exact integers.
         """
-        def powers(form, n):
-            (pr, pm), (qr, qm) = form
-            table = [[(1, 0)]]
-            for _ in range(n):
-                prev = table[-1]
-                nxt = [(0, 0)] * (len(prev) + 1)
-                for s, (r, m) in enumerate(prev):
-                    ar, am = nxt[s]
-                    nxt[s] = (ar + r * pr - m * pm, am + r * pm + m * pr)
-                    ar, am = nxt[s + 1]
-                    nxt[s + 1] = (ar + r * qr - m * qm, am + r * qm + m * qr)
-                table.append(nxt)
-            return table
-
-        total = self.total_degree()
-        pow_first = powers(first, self.degree_in(0))
-        pow_second = powers(second, self.degree_in(1))
-        re: dict = {}
-        im: dict = {}
-        for (i, j) in sorted(self._num):
-            k = den ** (total - i - j)
-            cr, cm = self._num[(i, j)]
-            cr, cm = cr * k, cm * k
-            pr, pm = {}, {}  # first^i second^j, by exponent of the second variable
-            for a, (ar, am) in enumerate(pow_first[i]):
-                for b, (br, bm) in enumerate(pow_second[j]):
-                    pr[a + b] = pr.get(a + b, 0) + ar * br - am * bm
-                    pm[a + b] = pm.get(a + b, 0) + ar * bm + am * br
-            for s, lr in pr.items():
-                lm = pm[s]
-                if not (lr or lm):
-                    continue
-                key = (i + j - s, s)
-                r = re.get(key, 0) + cr * lr - cm * lm
-                m = im.get(key, 0) + cr * lm + cm * lr
-                if r or m:
-                    re[key], im[key] = r, m
-                else:
-                    re.pop(key, None)
-                    im.pop(key, None)
-        return _reduced({key: (r, im[key]) for key, r in re.items()},
-                        self._den * den ** total, target)
+        upow, vpow = [ExactPoly.constant(1, u.basis)], [ExactPoly.constant(1, v.basis)]
+        while len(upow) <= self.degree_in(0):
+            upow.append(upow[-1] * u)
+        while len(vpow) <= self.degree_in(1):
+            vpow.append(vpow[-1] * v)
+        out = ExactPoly.zero(u.basis)
+        for (i, j), c in sorted(self.terms.items()):
+            out = out + (upow[i] * vpow[j]).scale(c)
+        return out
 
     # -- serialization ------------------------------------------------
 

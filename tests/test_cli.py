@@ -194,6 +194,23 @@ class TestVerify:
         assert report is None
         assert "malformed polynomial file" in err
 
+    def test_deeply_nested_file_exits_two(self, capsys, tmp_path):
+        # nesting past the JSON decoder's depth once escaped as a
+        # RecursionError traceback with exit 1
+        deep = "[" * 5000 + "]" * 5000
+        for text in (deep, '{"basis": "xy", "terms": [[0, 0, %s]]}' % deep):
+            path = tmp_path / "deep.json"
+            path.write_text(text)
+            code, report, err = run(capsys, "verify", "--tau", str(path))
+            assert (code, report) == (2, None)
+            assert "malformed polynomial file" in err
+
+    def test_deeply_nested_form_exits_two(self, capsys):
+        code, report, err = run(capsys, "verify", "--tau", "lump2",
+                                "--form", "[" * 5000 + "]" * 5000)
+        assert (code, report) == (2, None)
+        assert "malformed --form" in err
+
     def test_unreadable_path_exits_two(self, capsys, tmp_path):
         binary = tmp_path / "tau.bin"
         binary.write_bytes(bytes(range(256)))

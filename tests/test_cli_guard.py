@@ -6,7 +6,9 @@ report (no NaN or Infinity), or empty with exit 2.  Sizes stay cheap:
 ``--max-n`` <= 20, ``--n`` <= 30, energy windows of at most 20 cells per
 side (or far beyond the cap, which is refused), a ``--form`` order of
 10^6, which is zero on every pair of a catalog tau, and decimal exponents
-far past 4300, which are refused before any integer is built.  The grammar
+far past 4300, which are refused before any integer is built.  A file
+(``deep.json``) and a ``--form`` nest lists past the JSON decoder's depth,
+which must exit 2 and not escape as a RecursionError.  The grammar
 also draws removed options (``--custom-form``, ``--tol``, ``--x``,
 ``--jobs``), which argparse must refuse; two more tests keep it covering
 every option and subcommand that ``build_parser()`` defines.
@@ -29,6 +31,8 @@ RATIONALS = ["0", "1", "-2", "1/2", "-3/4", "7/3", "0.25", "1e3", "1e400",
              "1e5000", "1e10000000", "1/0", "abc", "", "nan", "inf", "-inf",
              " 2 "]
 INTS = ["x", "", "2.5", "1e3"]
+#: nesting past the JSON decoder's depth, as a file and as a --form
+DEEP = "[" * 5000 + "]" * 5000
 IDS = ["lump2", "pelin6", "yang6", "pelin12", "pelin12-corrected",
        "lump2-bnew", "pelin6-bnew", "pelin12-corrected-bnew", "nope", "",
        "a" * 300]
@@ -55,6 +59,7 @@ FILES = {
                       '[0, 0, {"re": "1", "re": "3"}]]}'),
     "zero_den.json": '{"basis": "xy", "terms": [[2, 0, "1"], [0, 2, "1"], [0, 0, "1/0"]]}',
     "zero_den_im.json": '{"basis": "xy", "terms": [[2, 0, {"re": "1", "im": "1/0"}]]}',
+    "deep.json": DEEP,
 }
 
 
@@ -90,7 +95,7 @@ def grammar(command, paths):
                  "[[0,2,0]]", "[[1,2]]", "not json", '[["1/0",2,0]]',
                  "[[1,1e400,0]]", "[[NaN,2,0]]", '[["1",1000000,0]]',
                  '[["1",4.5,0]]', '[["1","4",0]]', "[[1,true,true]]",
-                 '[["1e10000000",4,0]]']
+                 '[["1e10000000",4,0]]', DEEP]
         params = st.lists(st.sampled_from(
             [f"a={r}" for r in RATIONALS] + [f"b={r}" for r in RATIONALS]
             + ["c=1", "a", "=1"]), max_size=3)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import (
     conjugate, exact_polys, gaussian_rationals, random_poly, wide_polys,
     wide_rationals, x_plus_iy_power)
+from lumps import catalog as cat
 from lumps.hirota import STANDARD, hirota_d
 from lumps.polyring import (
     ONE, Basis, BasisMismatchError, ExactDivisionError, ExactPoly, QQi,
@@ -193,6 +194,18 @@ class TestAgainstOracles:
         f = ExactPoly(f.terms, basis)
         got = f.to_zzbar() if basis is Basis.XY else f.to_xy()
         assert got == substitute_oracle(f)
+
+    @pytest.mark.parametrize("rec_id", sorted(cat.catalog()))
+    def test_catalog_conversion_matches_substitute_oracle(self, rec_id):
+        # the drawn polynomials above stop at degree 8; the catalog reaches 12
+        rec = cat.get_record(rec_id)
+        tau = rec.bind({"a": Fraction(1, 2), "b": Fraction(-3)}) if rec.params else rec.tau()
+        assert tau.to_zzbar() == substitute_oracle(tau)
+        assert substitute_oracle(tau.to_zzbar()) == tau
+
+    def test_printed_degree12_matches_substitute_oracle(self):
+        printed = poly_zz(cat._pelin12_zz_terms(False))
+        assert printed.to_xy() == substitute_oracle(printed)
 
     @settings(max_examples=60)
     @given(st.sampled_from(list(Basis)), st.data())
