@@ -198,9 +198,9 @@ def energy(rec: TauRecord, half_width: float = 200.0, step: float = 0.05
 
     Raises ValueError for a window with no grid cell, more than
     MAX_ENERGY_CELLS cells per side or an R/h that is not a whole number
-    (to relative 1e-9), or a record outside the (3/2) normalization or not
-    even, and ArithmeticError when the sum is not finite (tau vanishes, or
-    overflows, at a grid node).
+    (to relative 1e-9), or a record outside the (3/2) normalization, not
+    even or not real, and ArithmeticError when the sum is not finite (tau
+    vanishes, or overflows, at a grid node).
     """
     for name, value in (("half_width", half_width), ("step", step)):
         if not (math.isfinite(value) and value > 0):
@@ -221,6 +221,8 @@ def energy(rec: TauRecord, half_width: float = 200.0, step: float = 0.05
     tau = rec.tau()
     if any(i % 2 or j % 2 for (i, j) in tau.numerators()[1]):
         raise ValueError("energy quadrature assumes tau even in x and y")
+    if any(m for _, m in tau.numerators()[1].values()):
+        raise ValueError("energy quadrature expects a real tau")
 
     n2, n3, nv = _energy_numerators(tau)
     # the x-even parts, then the x-odd ones, in the row order used below;

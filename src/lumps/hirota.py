@@ -9,15 +9,14 @@ Both axes of D1^a D2^b act on monomials in closed form:
 
 (``hirota_axis_coeff``).  By bilinearity D1^a D2^b f.g is one pass over the
 pairs of terms of f and g, each pair written straight to its output
-monomial.  The pass runs on the stored numerators of f and g (Gaussian
-integers over one denominator each, ``ExactPoly.numerators``), so inside the
-loop every coefficient is a Gaussian integer; the result's denominator is
-the product of theirs and that of the form weights.  A(order, u, v) = 0
-whenever u, v >= 0 and u + v < order, so no pair lands on a negative
-exponent.  In the pass a monomial (i, j) is the int i*W + j, W above every
-y-exponent sum, so an output key is the pair's key sum minus a per-order
-offset a*W + b.  Real f and g (every catalog tau in x, y) take an inner
-loop without imaginary parts.
+monomial.  The pass runs on integers: the stored numerators of f and g
+(Gaussian integers over one denominator each, ``ExactPoly.numerators``) go
+through it part by part, real times real and so on, so real f and g (every
+catalog tau in x, y) make one pass; the result's denominator is the product
+of theirs and that of the form weights.  A(order, u, v) = 0 whenever u, v >= 0
+and u + v < order, so no pair lands on a negative exponent.  In the pass a
+monomial (i, j) is the int i*W + j, W above every y-exponent sum, so an output
+key is the pair's key sum minus a per-order offset a*W + b.
 
 Before the pass, each axis coefficient a call needs is laid out in rows:
 per distinct order and distinct exponent of f on that axis, one list over
@@ -53,14 +52,15 @@ from .polyring import Basis, ExactPoly, Rat, _reduced, _scaled, parse_rational
 def _bilinear(terms, f: ExactPoly, g: ExactPoly, symmetric: bool) -> ExactPoly:
     """sum_k w_k D1^{a_k} D2^{b_k} f.g over the (w_k, a_k, b_k) of terms.
 
-    One pass over term pairs: pair (i1, j1).(i2, j2) adds
+    One loop over integer term pairs: pair (i1, j1).(i2, j2) adds
     A(a, i1, i2) A(b, j1, j2) c1 c2 to monomial (i1+i2-a, j1+j2-b) of the
     accumulator of each order; the rational weights are applied at the end.
-    The axis coefficients are read from rows: for each distinct order and
-    distinct exponent u of f on that axis, the list of A(order, u, v) over
-    the distinct exponents v of g on the same axis, so a pair costs two list
-    indexings per order.  ``symmetric`` (g is f, every order of even total)
-    visits each unordered pair once and doubles the off-diagonal ones.
+    It runs once per product of parts, fr.gr - fi.gi into the real
+    accumulators and fr.gi + fi.gr into the imaginary ones.  A pair reads
+    its axis coefficients by position from rows: per distinct order and
+    exponent u of f on the axis, A(order, u, v) over the distinct exponents
+    v of g there.  ``symmetric`` (g is f, every order of even total) visits
+    the unordered pairs of a same-part pass once, doubling off-diagonal ones.
     """
     den_f, fnum = f.numerators()
     den_g, gnum = g.numerators()
@@ -70,8 +70,11 @@ def _bilinear(terms, f: ExactPoly, g: ExactPoly, symmetric: bool) -> ExactPoly:
     for i, j in gnum:
         px.setdefault(i, len(px))
         py.setdefault(j, len(py))
-    gs = [(px[i], py[j], i * W + j, r, m) for (i, j), (r, m) in gnum.items()]
-    fs = [(i, j, i * W + j, r, m) for (i, j), (r, m) in fnum.items()]
+    # the real (0) and imaginary (1) parts of each operand, zeros dropped
+    gs = [[(px[i], py[j], i * W + j, c[p]) for (i, j), c in gnum.items() if c[p]]
+          for p in (0, 1)]
+    fs = [[(i, j, i * W + j, c[p]) for (i, j), c in fnum.items() if c[p]]
+          for p in (0, 1)]
     # the distinct exponents of f on each axis, and the distinct orders
     fx, fy = (px, py) if symmetric else (
         dict.fromkeys(i for i, _ in fnum), dict.fromkeys(j for _, j in fnum))
@@ -83,47 +86,36 @@ def _bilinear(terms, f: ExactPoly, g: ExactPoly, symmetric: bool) -> ExactPoly:
     yrows = {b: {u: [axis(b, u, v) for v in py] if b else [1] * len(py)
                  for u in fy}
              for b in dict.fromkeys(b for _, _, b in terms)}
-    real = not any(m for _, m in fnum.values()) and not any(m for _, m in gnum.values())
 
     accs = [({}, {}) for _ in terms]
-    for n, (i1, j1, k1, r1, m1) in enumerate(fs):
-        ops = [(xrows[a][i1], yrows[b][j1], k1 - a * W - b, acc_re, acc_im)
-               for (_, a, b), (acc_re, acc_im) in zip(terms, accs)]
-        # off-diagonal pairs of a symmetric pass count twice
-        d1, e1 = (2 * r1, 2 * m1) if symmetric else (r1, m1)
-        if real:
-            for pi, pj, k2, r2, _ in (gs[n:] if symmetric else gs):
-                pr = (d1 if k2 != k1 else r1) * r2
-                for xrow, yrow, base, acc_re, _ in ops:
+    # re += fr.gr - fi.gi and im += fr.gi + fi.gr
+    for p, q, sign in ((0, 0, 1), (1, 1, -1), (0, 1, 1), (1, 0, 1)):
+        half, gpart = symmetric and p == q, gs[q]
+        for n, (i1, j1, k1, c1) in enumerate(fs[p] if gpart else ()):
+            ops = [(xrows[a][i1], yrows[b][j1], k1 - a * W - b, acc[p != q])
+                   for (_, a, b), acc in zip(terms, accs)]
+            # off-diagonal pairs of a symmetric pass count twice
+            d1 = sign * c1
+            e1 = 2 * d1 if half else d1
+            for pi, pj, k2, c2 in (gpart[n:] if half else gpart):
+                pr = (e1 if k2 != k1 else d1) * c2
+                for xrow, yrow, base, acc in ops:
                     k = xrow[pi]
                     if k:
                         k *= yrow[pj]
                     if k:
                         key = base + k2
-                        acc_re[key] = acc_re.get(key, 0) + k * pr
-            continue
-        for pi, pj, k2, r2, m2 in (gs[n:] if symmetric else gs):
-            c1, c2 = (d1, e1) if k2 != k1 else (r1, m1)
-            pr = c1 * r2 - c2 * m2
-            pm = c1 * m2 + c2 * r2
-            for xrow, yrow, base, acc_re, acc_im in ops:
-                k = xrow[pi]
-                if k:
-                    k *= yrow[pj]
-                if k:
-                    key = base + k2
-                    acc_re[key] = acc_re.get(key, 0) + k * pr
-                    acc_im[key] = acc_im.get(key, 0) + k * pm
+                        acc[key] = acc.get(key, 0) + k * pr
 
     den_w, weights = _scaled(w for w, _, _ in terms)
     re, im = {}, {}
-    for (w, _), (acc_re, acc_im) in zip(weights, accs):
-        for key, r in acc_re.items():
-            re[key] = re.get(key, 0) + w * r
-        for key, m in acc_im.items():
-            im[key] = im.get(key, 0) + w * m
-    return _reduced({divmod(key, W): (r, im.get(key, 0)) for key, r in re.items()},
-                    den_f * den_g * den_w, f.basis)
+    for (w, _), pair in zip(weights, accs):
+        for out, acc in zip((re, im), pair):
+            for key, c in acc.items():
+                out[key] = out.get(key, 0) + w * c
+    # the real keys first, in accumulation order, then the imaginary-only ones
+    return _reduced({divmod(key, W): (re.get(key, 0), im.get(key, 0))
+                     for key in re | im}, den_f * den_g * den_w, f.basis)
 
 
 def hirota_d(a: int, b: int, f: ExactPoly, g: ExactPoly) -> ExactPoly:

@@ -146,6 +146,13 @@ class TestEnergy:
         with pytest.raises(ValueError, match="even in x and y"):
             cat.energy(rec, half_width=5.0, step=0.25)
 
+    def test_complex_record_rejected(self):
+        # the imaginary part of the constant must not be dropped silently
+        tau = poly_xy({(2, 0): 1, (0, 2): 3, (0, 0): QQi(Fraction(3), Fraction(1))})
+        rec = cat.TauRecord.plain("cplx-bnew", tau, Fraction(3, 2), PRESETS["bnew"])
+        with pytest.raises(ValueError, match="real tau"):
+            cat.energy(rec, half_width=20.0, step=0.5)
+
     @pytest.mark.parametrize(
         "rid", ["lump2-bnew", "pelin6-bnew", "pelin12-corrected-bnew"])
     def test_matches_unfolded_oracle(self, rid):

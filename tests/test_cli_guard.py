@@ -11,7 +11,9 @@ far past 4300, which are refused before any integer is built.  A file
 which must exit 2 and not escape as a RecursionError.  The grammar
 also draws removed options (``--custom-form``, ``--tol``, ``--x``,
 ``--jobs``), which argparse must refuse; two more tests keep it covering
-every option and subcommand that ``build_parser()`` defines.
+every option and subcommand that ``build_parser()`` defines.  ``verify``
+also runs on each ``--tau`` path and each ``--form`` text by itself, so a
+fault that one of them reaches fails every run, not a few percent of them.
 """
 
 import argparse
@@ -61,6 +63,17 @@ FILES = {
     "zero_den_im.json": '{"basis": "xy", "terms": [[2, 0, {"re": "1", "im": "1/0"}]]}',
     "deep.json": DEEP,
 }
+#: the --tau names in the interchange directory: every file, the directory
+#: itself and a missing file
+TAU_NAMES = [*FILES, ".", "missing.json"]
+#: --form texts: the presets, the removed preset even-section and unknown
+#: names, then JSON forms (--custom-form, however valid, is refused)
+FORMS = ["standard", "yang", "yang-elliptic", "bnew", "even-section", "nope", "",
+         '[["1",4,0],["-1",2,0],["-1",0,2]]', '[["1",4,0]]', "[]", "{}",
+         '["140"]', '[["x",4,0]]', "[[1,1,0]]", "[[1,-2,0]]", "[[0,2,0]]",
+         "[[1,2]]", "not json", '[["1/0",2,0]]', "[[1,1e400,0]]", "[[NaN,2,0]]",
+         '[["1",1000000,0]]', '[["1",4.5,0]]', '[["1","4",0]]', "[[1,true,true]]",
+         '[["1e10000000",4,0]]', DEEP]
 
 
 @pytest.fixture(scope="module")
@@ -69,8 +82,7 @@ def paths(tmp_path_factory):
     root = tmp_path_factory.mktemp("interchange")
     for name, text in FILES.items():
         (root / name).write_text(text)
-    unreadable = [str(root), str(root / "missing.json")]
-    return {"tau": [str(root / name) for name in FILES] + unreadable,
+    return {"tau": [str(root / name) for name in TAU_NAMES],
             "out": [str(root / "scan.csv"), str(root), str(root / "missing" / "x.csv")]}
 
 
@@ -86,21 +98,11 @@ def concat(*parts):
 def grammar(command, paths):
     taus = IDS + paths["tau"]
     if command == "verify":
-        # presets, the removed preset even-section and unknown names, then
-        # JSON forms: --custom-form, however valid, is refused
-        forms = ["standard", "yang", "yang-elliptic", "bnew",
-                 "even-section", "nope", "",
-                 '[["1",4,0],["-1",2,0],["-1",0,2]]', '[["1",4,0]]', "[]",
-                 "{}", '["140"]', '[["x",4,0]]', "[[1,1,0]]", "[[1,-2,0]]",
-                 "[[0,2,0]]", "[[1,2]]", "not json", '[["1/0",2,0]]',
-                 "[[1,1e400,0]]", "[[NaN,2,0]]", '[["1",1000000,0]]',
-                 '[["1",4.5,0]]', '[["1","4",0]]', "[[1,true,true]]",
-                 '[["1e10000000",4,0]]', DEEP]
         params = st.lists(st.sampled_from(
             [f"a={r}" for r in RATIONALS] + [f"b={r}" for r in RATIONALS]
             + ["c=1", "a", "=1"]), max_size=3)
         return concat(st.just(["verify"]), option("--tau", taus),
-                      option("--form", forms),
+                      option("--form", FORMS),
                       option("--custom-form", ['[["1",4,0],["-1",2,0],["-1",0,2]]']),
                       params.map(lambda ps: [f"--param={p}" for p in ps]))
     if command == "scan-jn":
@@ -177,6 +179,18 @@ def test_contract(command, paths):
         check_contract(argv)
 
     check()
+
+
+# the grammar draws each file and form in only a few percent of examples;
+# these run every one of them on every run
+@pytest.mark.parametrize("k", range(len(TAU_NAMES)), ids=TAU_NAMES)
+def test_verify_every_tau_file(k, paths):
+    check_contract(["verify", f"--tau={paths['tau'][k]}"])
+
+
+@pytest.mark.parametrize("form", FORMS, ids=[str(n) for n in range(len(FORMS))])
+def test_verify_every_form(form):
+    check_contract(["verify", "--tau=lump2", f"--form={form}"])
 
 
 @pytest.mark.parametrize("argv", [[], ["nope"], ["verify"], ["lax-table", "extra"]])

@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import exact_polys, fresh_python, random_poly, wide_polys, wide_rationals
+from lumps.catalog import catalog
 from lumps.hirota import (
     BNEW, STANDARD, YANG, YANG_ELLIPTIC, BilinearForm, custom_form,
     PRESETS, hirota_axis_coeff, hirota_d, hirota_dx4_zz_coeff,
@@ -321,17 +322,17 @@ class TestPairing:
                 STANDARD.pairing(f, g)
 
 
-#: real polynomials with wide coefficients, for the real-coefficient loop
+#: real polynomials with wide coefficients: only the real-times-real pass runs
 real_polys = st.builds(
     lambda p: ExactPoly({k: QQi(c.re) for k, c in p.terms.items()}, p.basis),
     wide_polys(max_degree=4, max_terms=4))
 
 
 class TestKernelLoops:
-    """The kernel runs a real-coefficient loop when f and g both have real
-    coefficients and the Gaussian loop otherwise, on packed monomial keys
-    i*W + j with W above every y-exponent sum; each against the oracle.
-    Forms act on (x, y); ``hirota_d`` runs in the drawn basis."""
+    """The kernel runs one integer pair loop per product of the real and
+    imaginary parts of f and g, skipping those with an empty part, on packed
+    monomial keys i*W + j with W above every y-exponent sum; each against
+    the oracle.  Forms act on (x, y); ``hirota_d`` runs in the drawn basis."""
 
     @settings(max_examples=30, deadline=None)
     @given(real_polys, form_weights)
@@ -348,10 +349,21 @@ class TestKernelLoops:
     @settings(max_examples=30, deadline=None)
     @given(real_polys, wide_polys(max_degree=4, max_terms=4), form_weights)
     def test_real_with_complex(self, f, g, weights):
-        # one real factor is not enough for the real loop, in either slot
+        # one real factor leaves a cross pass to run, in either slot
         form = weighted_form(weights)
         assert form.pairing(f, g) == oracle_pairing(weights, f, g)
         assert form.pairing(g, f) == oracle_pairing(weights, g, f)
+
+    @pytest.mark.parametrize("form", list(PRESETS.values()), ids=list(PRESETS))
+    def test_each_pass_on_the_catalog(self, form):
+        # tau i is purely imaginary: its residual runs the i.i pass alone,
+        # and pairing(tau, tau i) the two cross passes alone
+        i = QQi(Fraction(0), Fraction(1))
+        for rec in catalog().values():
+            tau = rec.bind({"a": Fraction(1, 2), "b": Fraction(-3)} if rec.params else {})
+            residual = form.residual(tau)
+            assert form.residual(tau.scale(i)) == residual.scale(-1)
+            assert form.pairing(tau, tau.scale(i)) == residual.scale(i)
 
     @pytest.mark.parametrize("basis", list(Basis))
     def test_empty_and_constant(self, basis):
